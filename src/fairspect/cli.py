@@ -52,7 +52,7 @@ from .model import (
     save_checkpoint,
     train,
 )
-from .spectral import ConvergenceError, dense_eigendecomposition
+from .spectral import DEFAULT_ORACLE_CAP, ConvergenceError, dense_eigendecomposition
 from .synthetic import SyntheticSpec, attributes_to_csv_text, gen_synthetic
 
 EXIT_OK = 0
@@ -308,7 +308,7 @@ def _verify_battery(args):
                 values[0] = 1
             sensitive = SensitiveColumn(values=values,
                                         present=np.ones(graph.n, dtype=bool))
-        oracle = dense_eigendecomposition(graph) if graph.n <= 512 else None
+        oracle = dense_eigendecomposition(graph) if graph.n <= DEFAULT_ORACLE_CAP else None
         return [(Path(args.edges).stem, graph, sensitive, oracle)]
     return build_alignment_battery(args.suite_size, seed=args.seed)
 
@@ -487,6 +487,10 @@ def main(argv=None) -> int:
     except (EdgeListFormatError, AttributeTableError, UndefinedMetricError,
             DegenerateVectorError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # an input whose declared size does not fit in memory is a usage error
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

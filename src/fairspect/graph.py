@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 
@@ -24,6 +25,104 @@ class AttributeTableError(ValueError):
 
 
 _N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+
+# Largest node count whose packed pair keys u*n + v (u, v < n) fit in int64.
+MAX_NODES = math.isqrt(2**63)
+
+# str.splitlines() line boundaries; ingest maps them all to "\n" so that line
+# numbers in error messages count lines the way a text editor does.
+_LINE_BREAK_CHARS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK = re.compile(r"\r\n|[\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_HASH_TO_EOL = re.compile(r"#.*")
+_INT_LITERAL = re.compile(r"([+-]?)0*([0-9]+)")
+_FLOAT_LITERAL = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)",
+    re.IGNORECASE)
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+_BLANK_LINE = re.compile(r"\n[^\S\n]+(?=\n|\Z)")
+# int() and float() reject these inside a cell while numpy's parser strips
+# them as blanks, so rows holding them take the row-by-row path
+_CELL_SEPARATOR_CHARS = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_int(token: str) -> int | None:
+    """Value of an ASCII integer literal with optional sign; None if it is not one.
+
+    Magnitudes beyond 20 digits are clamped to 2**64, which is out of every
+    range the loaders accept, so int() never sees a huge digit string.
+    """
+    match = _INT_LITERAL.fullmatch(token)
+    if match is None:
+        return None
+    sign, digits = match.groups()
+    value = int(digits) if len(digits) <= 20 else 2**64
+    return -value if sign == "-" else value
+
+
+def _split_comments(text: str):
+    """Return (text, body, comments) for line-oriented input.
+
+    ``text`` comes back with every line boundary normalised to "\n".
+    ``comments`` are the matches of the comment lines (first non-blank
+    character ``#``), each spanning ``#`` to the end of its line; ``body`` is
+    the text with those lines emptied. A ``#`` after other content on a line
+    stays in ``body``, where the parser rejects it.
+    """
+    if any(ch in text for ch in _LINE_BREAK_CHARS):
+        text = _LINE_BREAK.sub("\n", text)
+    comments, pieces, kept_from = [], [], 0
+    for hit in _HASH_TO_EOL.finditer(text):
+        line_start = text.rfind("\n", 0, hit.start()) + 1
+        if text[line_start:hit.start()].strip():
+            continue
+        comments.append(hit)
+        pieces.append(text[kept_from:line_start])
+        kept_from = hit.end()
+    pieces.append(text[kept_from:])
+    return text, "".join(pieces), comments
+
+
+def _int_rows(body: str, width: int) -> np.ndarray:
+    """Parse whitespace-separated integer lines into a (rows, width) int64 array.
+
+    Blank lines are skipped. Raises ValueError when a line is not exactly
+    ``width`` ASCII integers that fit in int64.
+    """
+    if not body or body.isspace():
+        return np.empty((0, width), dtype=np.int64)
+    rows = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    if rows.shape[1] != width:
+        raise ValueError(f"expected {width} integers per line, got {rows.shape[1]}")
+    return rows
+
+
+def _first_bad_line(text: str, line_error, fallback: str) -> EdgeListFormatError:
+    """Error for the first line that ``line_error(lineno, raw, stripped)`` rejects.
+
+    Runs only after the vectorised parse has failed, to name the offending
+    line; ``fallback`` is the message if no single line is to blame.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            message = line_error(lineno, raw, line)
+            if message:
+                return EdgeListFormatError(message)
+    return EdgeListFormatError(fallback)
+
+
+def _edge_line_error(lineno: int, raw: str, line: str) -> str | None:
+    parts = line.split()
+    if len(parts) != 2:
+        return f"line {lineno}: expected two node ids, got {raw!r}"
+    ids = [_parse_int(part) for part in parts]
+    if None in ids:
+        return f"line {lineno}: non-integer node id in {raw!r}"
+    if min(ids) < 0:
+        return f"line {lineno}: negative node id in {raw!r}"
+    if max(ids) >= MAX_NODES:
+        return f"line {lineno}: node id above {MAX_NODES - 1} in {raw!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -68,35 +167,43 @@ class Graph:
     def to_dense(self) -> np.ndarray:
         return self.to_scipy().toarray()
 
-    def undirected_edges(self) -> list[tuple[int, int]]:
-        """Unique (u, v) pairs with u < v."""
-        out = []
-        for u in range(self.n):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.append((u, int(v)))
-        return out
+    def undirected_edges(self) -> np.ndarray:
+        """Unique (u, v) pairs with u < v as an (edge_count, 2) int64 array, sorted."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        upper = rows < self.col_indices
+        return np.column_stack([rows[upper], self.col_indices[upper]])
 
 
 def from_edges(n: int, edges) -> Graph:
-    """Build a Graph from unique undirected (u, v) pairs, u != v."""
-    pairs = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    if pairs and pairs[-1][1] >= n:
-        raise ValueError("edge endpoint exceeds node count")
-    if any(u == v for u, v in pairs):
+    """Build a Graph from undirected (u, v) pairs, u != v.
+
+    ``edges`` is an (E, 2) integer array or an iterable of pairs. Duplicates
+    and reversed pairs collapse into one edge.
+    """
+    if n > MAX_NODES:
+        raise ValueError(f"n={n} exceeds the supported maximum {MAX_NODES}")
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    src, dst = pairs[:, 0], pairs[:, 1]
+    if len(pairs) and (pairs.max() >= n or pairs.min() < 0):
+        raise ValueError("edge endpoint outside 0..n-1")
+    if np.any(src == dst):
         raise ValueError("self-loops are not representable")
-    if pairs:
-        arr = np.array(pairs, dtype=np.int64)
-        src = np.concatenate([arr[:, 0], arr[:, 1]])
-        dst = np.concatenate([arr[:, 1], arr[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-    else:
-        src = dst = np.empty(0, dtype=np.int64)
+    # both orientations of every edge, packed row-major: one sort puts them
+    # in CSR order (by row, then column) and brings duplicates together.
+    # (np.unique would hash first, several times slower on these keys.)
+    keys = np.concatenate([src * n + dst, dst * n + src])
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    rows, cols = np.divmod(keys, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    offsets = np.cumsum(offsets)
-    return Graph(n=n, row_offsets=offsets, col_indices=dst, edge_count=len(pairs))
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return Graph(n=n, row_offsets=offsets, col_indices=cols, edge_count=len(keys) // 2)
 
 
 def load_edge_list(text: str) -> Graph:
@@ -104,52 +211,46 @@ def load_edge_list(text: str) -> Graph:
 
     Lines starting with ``#`` are comments; an optional ``# n=<N>`` header
     fixes the node count (for trailing isolated nodes). Duplicate edges are
-    collapsed and self-loops dropped. Node ids must be nonnegative;
-    n = 1 + max id seen unless the header says otherwise.
+    collapsed and self-loops dropped. Node ids are nonnegative ASCII integers
+    below ``MAX_NODES``; n = 1 + max id seen unless the header says otherwise.
     """
-    header_n = None
-    pairs = set()
-    max_id = -1
-    saw_content = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _N_HEADER.match(line)
-            if m:
-                header_n = int(m.group(1))
-                saw_content = True
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListFormatError(f"line {lineno}: expected two node ids, got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListFormatError(f"line {lineno}: non-integer node id in {raw!r}") from None
-        if u < 0 or v < 0:
-            raise EdgeListFormatError(f"line {lineno}: negative node id in {raw!r}")
-        saw_content = True
-        max_id = max(max_id, u, v)
-        if u != v:
-            pairs.add((min(u, v), max(u, v)))
-    if not saw_content:
+    text, body, comments = _split_comments(text)
+    header = None
+    for hit in comments:
+        match = _N_HEADER.match(hit.group())
+        if match:
+            header = (hit, match.group(1))
+    try:
+        pairs = _int_rows(body, 2)
+        if len(pairs) and (pairs.min() < 0 or pairs.max() >= MAX_NODES):
+            raise ValueError("node id out of range")
+    except ValueError as exc:
+        raise _first_bad_line(text, _edge_line_error, f"unparseable edge list: {exc}") from None
+    if header is None and not len(pairs):
         raise EdgeListFormatError("empty edge list")
+    max_id = int(pairs.max()) if len(pairs) else -1
     n = max_id + 1
-    if header_n is not None:
+    if header is not None:
+        hit, digits = header
+        significant = digits.lstrip("0") or "0"
+        header_n = int(significant) if len(significant) <= 20 else MAX_NODES + 1
+        if header_n > MAX_NODES:
+            lineno = text.count("\n", 0, hit.start()) + 1
+            raise EdgeListFormatError(
+                f"line {lineno}: header n={digits} above the maximum {MAX_NODES}")
         if header_n < n:
             raise EdgeListFormatError(f"header n={header_n} smaller than max id {max_id}")
         n = header_n
     if n == 0:
         raise EdgeListFormatError("graph has no nodes")
-    return from_edges(n, pairs)
+    return from_edges(n, pairs[pairs[:, 0] != pairs[:, 1]])
 
 
 def to_edge_list_text(graph: Graph) -> str:
     """Serialise a Graph back to edge-list text (round-trips via load_edge_list)."""
+    edges = graph.undirected_edges()
     lines = [f"# n={graph.n}"]
-    lines += [f"{u} {v}" for u, v in graph.undirected_edges()]
+    lines += map("{} {}".format, edges[:, 0].tolist(), edges[:, 1].tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -215,20 +316,68 @@ class SensitiveColumn:
         return np.where(self.present, self.values, 0).astype(np.float64)
 
 
+def _parse_float(cell: str) -> float | None:
+    """Value of an ASCII decimal, inf or nan literal; None if it is not one."""
+    cell = cell.strip()
+    return float(cell) if _FLOAT_LITERAL.fullmatch(cell) else None
+
+
+def _attribute_row_error(csv_text: str, width: int, id_col: int, label_col: int,
+                         feature_cols: list[int]) -> str | None:
+    """The first row-level schema violation, in row order, or None.
+
+    Runs only after the vectorised parse has failed, to name the offending row.
+    """
+    reader = csv.reader(io.StringIO(csv_text))
+    seen = set()
+    try:
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != width:
+                return f"row {lineno}: expected {width} cells, got {len(row)}"
+            node = _parse_int(row[id_col].strip())
+            if node is None:
+                return f"row {lineno}: non-integer id {row[id_col]!r}"
+            if not _INT64_MIN <= node <= _INT64_MAX:
+                return f"row {lineno}: id {row[id_col]!r} does not fit in int64"
+            if node in seen:
+                return f"row {lineno}: duplicate id {node}"
+            seen.add(node)
+            feats = [_parse_float(row[j]) for j in feature_cols]
+            if None in feats:
+                return f"row {lineno}: non-numeric feature cell"
+            if not all(math.isfinite(x) for x in feats):
+                return f"row {lineno}: non-finite feature cell"
+            label = _parse_int(row[label_col].strip())
+            if label is None:
+                return f"row {lineno}: non-integer label {row[label_col]!r}"
+            if not _INT64_MIN <= label <= _INT64_MAX:
+                return f"row {lineno}: label {row[label_col]!r} does not fit in int64"
+            if label < 0:
+                return f"row {lineno}: negative label {label}"
+    except csv.Error as exc:
+        return f"row {reader.line_num}: {exc}"
+    return None
+
+
 def load_attributes(csv_text: str, expected_n: int | None = None):
     """Parse an attribute CSV into (AttributeMatrix, SensitiveColumn, labels).
 
     The header must contain ``id``, ``sensitive`` and ``label``; every other
-    column is a real-valued feature. The sensitive column is part of the
-    feature matrix. Rows must cover ids 0..n-1 exactly once. Labels greater
-    than 1 are merged into class 1.
+    column is a real-valued, finite feature. The sensitive column is part of
+    the feature matrix. Rows may come in any order but must cover ids 0..n-1
+    exactly once; ids and labels are integers that fit in int64. Labels
+    greater than 1 are merged into class 1.
     """
-    reader = csv.reader(io.StringIO(csv_text))
+    if not csv_text:
+        raise AttributeTableError("empty attribute table")
+    header_line, _, body = csv_text.partition("\n")
     try:
-        header = next(reader)
-    except StopIteration:
-        raise AttributeTableError("empty attribute table") from None
-    header = [h.strip() for h in header]
+        header = [h.strip() for h in next(csv.reader([header_line]), [])]
+    except csv.Error as exc:
+        raise AttributeTableError(f"row 1: {exc}") from None
     for required in ("id", "sensitive", "label"):
         if required not in header:
             raise AttributeTableError(f"missing required column {required!r}")
@@ -237,43 +386,41 @@ def load_attributes(csv_text: str, expected_n: int | None = None):
     feature_cols = [j for j in range(len(header)) if j not in (id_col, label_col)]
     sensitive_index = feature_cols.index(header.index("sensitive"))
 
-    rows = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise AttributeTableError(f"row {lineno}: expected {len(header)} cells, got {len(row)}")
-        try:
-            node = int(row[id_col])
-        except ValueError:
-            raise AttributeTableError(f"row {lineno}: non-integer id {row[id_col]!r}") from None
-        if node in rows:
-            raise AttributeTableError(f"row {lineno}: duplicate id {node}")
-        try:
-            feats = [float(row[j]) for j in feature_cols]
-        except ValueError:
-            raise AttributeTableError(f"row {lineno}: non-numeric feature cell") from None
-        try:
-            label = int(row[label_col])
-        except ValueError:
-            raise AttributeTableError(f"row {lineno}: non-integer label {row[label_col]!r}") from None
-        if label < 0:
-            raise AttributeTableError(f"row {lineno}: negative label {label}")
-        rows[node] = (feats, label)
-
-    if not rows:
+    # whitespace-only lines are skipped like empty ones; the leading "\n"
+    # lets the pattern see the first line too
+    body = _BLANK_LINE.sub("\n", "\n" + body)
+    if body.isspace():
         raise AttributeTableError("attribute table has no data rows")
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
+    dtype = [(f"c{j}", np.int64 if j in (id_col, label_col) else np.float64)
+             for j in range(len(header))]
+    try:
+        if any(ch in body for ch in _CELL_SEPARATOR_CHARS):
+            raise ValueError("control characters U+001C..U+001F in a data row")
+        table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
+                           quotechar='"', comments=None, ndmin=1)
+        table = table[np.argsort(table[f"c{id_col}"], kind="stable")]
+        ids = table[f"c{id_col}"]
+        raw_labels = table[f"c{label_col}"]
+        features = np.column_stack([table[f"c{j}"] for j in feature_cols])
+        if (np.any(ids[1:] == ids[:-1]) or np.any(raw_labels < 0)
+                or not np.isfinite(features).all()):
+            raise ValueError("duplicate id, negative label or non-finite feature")
+    except ValueError as exc:
+        message = _attribute_row_error(csv_text, len(header), id_col, label_col, feature_cols)
+        raise AttributeTableError(message or f"unparseable attribute table: {exc}") from None
+
+    n = len(ids)
+    if ids[0] != 0 or ids[-1] != n - 1:
         raise AttributeTableError("node ids must be contiguous 0..n-1")
     if expected_n is not None and n != expected_n:
         raise AttributeTableError(f"attribute table has {n} rows, graph has {expected_n} nodes")
 
-    features = np.array([rows[i][0] for i in range(n)], dtype=np.float64)
-    labels = np.array([min(rows[i][1], 1) for i in range(n)], dtype=np.int64)
+    labels = np.minimum(raw_labels, 1)
     sens_values = features[:, sensitive_index]
     if np.any(sens_values != np.round(sens_values)):
         raise AttributeTableError("sensitive column must hold integer class ids")
+    if np.any(sens_values < 0) or np.any(sens_values >= 2.0**63):
+        raise AttributeTableError("sensitive class ids must be nonnegative and fit in int64")
     sensitive = SensitiveColumn(
         values=sens_values.astype(np.int64),
         present=np.ones(n, dtype=bool),
@@ -300,22 +447,30 @@ def apply_missing_mask(sensitive: SensitiveColumn, rate: float, seed: int) -> Se
     return SensitiveColumn(values=sensitive.values.copy(), present=present)
 
 
+def _mask_line_error(lineno: int, raw: str, line: str, n: int) -> str | None:
+    node = _parse_int(line)
+    if node is None:
+        return f"mask line {lineno}: non-integer id {raw!r}"
+    if not 0 <= node < n:
+        return f"mask line {lineno}: id {line} out of range"
+    return None
+
+
 def parse_mask_file(text: str, sensitive: SensitiveColumn) -> SensitiveColumn:
     """Apply a mask file (one node id per line = missing) to an all-present column."""
     if not sensitive.present.all():
         raise ValueError("input mask must be all-present")
-    present = np.ones(sensitive.n, dtype=bool)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            node = int(line)
-        except ValueError:
-            raise EdgeListFormatError(f"mask line {lineno}: non-integer id {raw!r}") from None
-        if not 0 <= node < sensitive.n:
-            raise EdgeListFormatError(f"mask line {lineno}: id {node} out of range")
-        present[node] = False
+    n = sensitive.n
+    text, body, _ = _split_comments(text)
+    try:
+        ids = _int_rows(body, 1)[:, 0]
+        if np.any((ids < 0) | (ids >= n)):
+            raise ValueError("node id out of range")
+    except ValueError as exc:
+        raise _first_bad_line(text, lambda lineno, raw, line: _mask_line_error(lineno, raw, line, n),
+                              f"unparseable mask file: {exc}") from None
+    present = np.ones(n, dtype=bool)
+    present[ids] = False
     return SensitiveColumn(values=sensitive.values.copy(), present=present)
 
 
@@ -360,31 +515,20 @@ def make_split(n: int, train_size: int | None, seed: int) -> Split:
 def is_connected(graph: Graph) -> bool:
     if graph.n == 0:
         return False
-    seen = np.zeros(graph.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbors(u):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
+    from scipy.sparse.csgraph import connected_components
+
+    count, _ = connected_components(graph.to_scipy(), directed=False)
+    return count == 1
 
 
 def is_bipartite(graph: Graph) -> bool:
-    color = np.full(graph.n, -1, dtype=np.int8)
-    for start in range(graph.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in graph.neighbors(u):
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    stack.append(int(v))
-                elif color[v] == color[u]:
-                    return False
-    return True
+    """A graph is bipartite iff its bipartite double cover [[0, A], [A, 0]]
+    has twice as many connected components as the graph itself."""
+    from scipy.sparse import bmat
+    from scipy.sparse.csgraph import connected_components
+
+    adjacency = graph.to_scipy()
+    cover = bmat([[None, adjacency], [adjacency, None]], format="csr")
+    cover_count, _ = connected_components(cover, directed=False)
+    count, _ = connected_components(adjacency, directed=False)
+    return cover_count == 2 * count

@@ -192,6 +192,30 @@ class TestConfigAndExitCodes:
         config.write_text(json.dumps({"epoch": 5}))  # typo for "epochs"
         assert main(["train", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("edges_text", [
+        "# n=1000000000000\n0 1\n",
+        "0 1\n1 99999999999999999999\n",
+    ])
+    def test_oversized_node_count_is_usage_error(self, tmp_path, capsys, edges_text):
+        edges, attrs = write_k3(tmp_path)
+        edges.write_text(edges_text)
+        code = main(["train", "--edges", str(edges), "--attributes", str(attrs),
+                     "--out_dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "error: line" in capsys.readouterr().err
+
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        edges, attrs = write_k3(tmp_path)
+
+        def exhausted(text):
+            raise MemoryError("cannot allocate the adjacency")
+
+        monkeypatch.setattr("fairspect.cli.load_edge_list", exhausted)
+        code = main(["verify", "--edges", str(edges), "--attributes", str(attrs),
+                     "--out_dir", str(tmp_path / "verify")])
+        assert code == 1
+        assert "error: out of memory" in capsys.readouterr().err
+
     def test_gen_rejects_custom_kind(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "--kind", "custom", "--n", "4",
