@@ -50,6 +50,7 @@ from .model import (
     predict,
     prepare_inputs,
     save_checkpoint,
+    structural_truncation,
     train,
 )
 from .spectral import DEFAULT_ORACLE_CAP, ConvergenceError, dense_eigendecomposition
@@ -155,8 +156,11 @@ def _load_dataset(merged: dict):
 
 
 def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
-                         config: TrainConfig):
-    """Train once and return (report, params). Masking follows the config."""
+                         config: TrainConfig, trunc=None):
+    """Train once and return (report, params). Masking follows the config.
+
+    ``trunc`` is a precomputed structural truncation; None solves it here.
+    """
     if merged.get("mask"):
         run_sensitive = parse_mask_file(
             Path(merged["mask"]).read_text(encoding="utf-8"), sensitive)
@@ -170,7 +174,7 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
         report_rate = 0.0
     split = make_split(graph.n, config.train_size, config.seed)
     started = time.perf_counter()
-    data = prepare_inputs(graph, attrs, run_sensitive, labels, split, config)
+    data = prepare_inputs(graph, attrs, run_sensitive, labels, split, config, trunc=trunc)
     params, _history = train(data, config)
     yhat = predict(params, data, config)
     runtime = time.perf_counter() - started
@@ -260,17 +264,19 @@ def cmd_sweep(args) -> int:
     out_dir = Path(merged.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    cells = [(rate, seed, _train_config_from(merged, missing_rate=rate, seed=seed))
+             for rate in rates for seed in seeds]
+    # every cell shares the graph, m and the fusion switch, so one solve serves the grid
+    trunc = structural_truncation(graph, cells[0][2]) if cells else None
     by_rate: dict[float, list] = {rate: [] for rate in rates}
-    for rate in rates:
-        for seed in seeds:
-            config = _train_config_from(merged, missing_rate=rate, seed=seed)
-            report, _params = _run_single_training(graph, attrs, sensitive, labels,
-                                                   dataset, merged, config)
-            name = f"report_r{rate:g}_s{seed}.json"
-            _atomic_write_text(out_dir / name, _json_text(report.to_json_dict()))
-            by_rate[rate].append(report)
-            print(f"rate={rate:g} seed={seed} acc={report.accuracy:.4f} "
-                  f"d_sp={report.delta_sp:.4f}%")
+    for rate, seed, config in cells:
+        report, _params = _run_single_training(graph, attrs, sensitive, labels,
+                                               dataset, merged, config, trunc)
+        name = f"report_r{rate:g}_s{seed}.json"
+        _atomic_write_text(out_dir / name, _json_text(report.to_json_dict()))
+        by_rate[rate].append(report)
+        print(f"rate={rate:g} seed={seed} acc={report.accuracy:.4f} "
+              f"d_sp={report.delta_sp:.4f}%")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)

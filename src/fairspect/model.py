@@ -258,6 +258,17 @@ class PreparedData:
     khop: np.ndarray | None
 
 
+def structural_truncation(graph: Graph, config: TrainConfig) -> SpectralTruncation | None:
+    """The top-m eigenbasis a config trains on; None without spectral fusion.
+
+    It depends on the graph, m and the fusion switch only, so runs that share
+    those (the cells of a sweep) can share one truncation.
+    """
+    if not config.spectral_fusion:
+        return None
+    return top_m_eigenpairs(graph, min(config.m, graph.n))
+
+
 def prepare_inputs(
     graph: Graph,
     attrs: AttributeMatrix,
@@ -278,7 +289,7 @@ def prepare_inputs(
         padded = np.delete(padded, attrs.sensitive_index, axis=1)
     if config.spectral_fusion:
         if trunc is None:
-            trunc = top_m_eigenpairs(graph, min(config.m, graph.n), seed=config.seed)
+            trunc = structural_truncation(graph, config)
         khop = None
     else:
         trunc = None
@@ -415,11 +426,23 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig):
 
 
 def load_checkpoint(path, config: TrainConfig, feature_width: int) -> ModelParams:
-    """Rebuild parameters from a checkpoint, validating shapes against config."""
+    """Rebuild parameters from a checkpoint, validating config and shapes.
+
+    The config the checkpoint was trained under must equal ``config`` field
+    for field: parameter shapes do not depend on every field (m, for one), so
+    shapes alone would let a mismatched config through.
+    """
     with np.load(path, allow_pickle=False) as archive:
         version = int(archive["format_version"])
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
+        stored = json.loads(str(archive["config_json"]))
+        given = json.loads(json.dumps(config.as_dict()))
+        differing = sorted(k for k in stored.keys() | given.keys()
+                           if stored.get(k) != given.get(k))
+        if differing:
+            raise ValueError("checkpoint was trained under another config: " + ", ".join(
+                f"{k} (stored {stored.get(k)!r}, given {given.get(k)!r})" for k in differing))
         values = {
             key[len("param__"):]: archive[key]
             for key in archive.files if key.startswith("param__")

@@ -1,10 +1,10 @@
 """Top-magnitude eigenpairs of the adjacency matrix.
 
-Two routes are provided on purpose: a Krylov solver (Lanczos with full
-reorthogonalisation) for the m largest-magnitude eigenpairs, and a dense
-symmetric eigendecomposition that serves as the independent oracle for
-verifying it. Both share one ordering and sign convention so results are
-reproducible across runs and solvers.
+Two routes are provided on purpose: a Krylov solver (ARPACK's implicitly
+restarted Lanczos, through ``scipy.sparse.linalg.eigsh``) for the m
+largest-magnitude eigenpairs, and a dense symmetric eigendecomposition that
+serves as the independent oracle for verifying it. Both share one ordering
+and sign convention so results are reproducible across runs and solvers.
 
 Conventions:
   * eigenvalues are ordered by descending magnitude;
@@ -116,57 +116,52 @@ def dense_eigendecomposition(graph: Graph, oracle_cap: int = DEFAULT_ORACLE_CAP)
     return _ordered_truncation(values, vectors)
 
 
-def _fresh_direction(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
-    """Random unit vector orthogonal to the current basis, or None if spanned."""
-    n = basis.shape[0]
-    for _ in range(5):
-        w = rng.standard_normal(n)
-        w -= basis @ (basis.T @ w)
-        w -= basis @ (basis.T @ w)
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            return w / norm
-    return None
+def _arpack_eigenpairs(A, k: int, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """k largest-magnitude eigenpairs by implicitly restarted Lanczos (ARPACK).
 
-
-def _lanczos_factorization(A, v0, dim, rng, steps, max_steps, breakdown_tol):
-    """Build up to ``dim`` Lanczos vectors with full reorthogonalisation.
-
-    On breakdown (invariant subspace reached) a fresh random orthogonal
-    direction is injected and the corresponding off-diagonal coupling is set
-    to zero, which keeps the projected matrix block-tridiagonal and lets the
-    factorisation cover degenerate eigenspaces and disconnected graphs.
+    The adjacency is touched only through ``A @ x``. The start vector is the
+    all-ones vector and the generator for restart vectors is fixed, so the
+    result is a function of (A, k, tol) alone. ``tol`` is ARPACK's relative
+    one: each pair stops at ||A v - lambda v|| <= tol * |lambda|. The Krylov
+    dimension 4k + 20, about twice ARPACK's default, gives restarts room to pick up
+    the further copies of a repeated eigenvalue that one start vector cannot
+    reach; on graphs of at most that many nodes it spans the whole space.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     n = A.shape[0]
-    V = np.zeros((n, dim))
-    alphas = np.zeros(dim)
-    betas = np.zeros(max(dim - 1, 0))
-    v = v0 / np.linalg.norm(v0)
-    j = 0
-    while j < dim and steps < max_steps:
-        V[:, j] = v
-        w = A @ v
-        steps += 1
-        alphas[j] = float(v @ w)
-        basis = V[:, :j + 1]
-        w -= basis @ (basis.T @ w)
-        w -= basis @ (basis.T @ w)
-        if j + 1 == dim:
-            j += 1
-            break
-        norm = np.linalg.norm(w)
-        if norm > breakdown_tol:
-            betas[j] = norm
-            v = w / norm
-        else:
-            betas[j] = 0.0
-            nxt = _fresh_direction(basis, rng)
-            if nxt is None:
-                j += 1
-                break
-            v = nxt
-        j += 1
-    return V[:, :j], alphas[:j], betas[:max(j - 1, 0)], steps
+    operator = LinearOperator(A.shape, matvec=lambda x: A @ x, dtype=np.float64)
+    try:
+        return eigsh(operator, k=k, which="LM", v0=np.ones(n), tol=tol,
+                     ncv=min(n, 4 * k + 20), maxiter=max_iter, rng=0)
+    except ArpackNoConvergence as exc:
+        converged = len(exc.eigenvalues)
+        raise ConvergenceError(
+            f"top-{k} eigensolve converged {converged} of {k} pairs "
+            f"in {max_iter} ARPACK iterations",
+            residuals=np.concatenate([
+                _residuals(A, exc.eigenvalues, exc.eigenvectors),
+                np.full(k - converged, np.inf),
+            ]),
+        ) from exc
+
+
+def _residuals(A, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(A @ vectors - vectors * values, axis=0)
+
+
+def _boundary_tie_open(values: np.ndarray, order: list[int], m: int) -> bool:
+    """Whether an eigenvalue not yet computed could displace one of the first m.
+
+    Ties in magnitude put the positive eigenvalue first, so a negative m-th
+    value may give way to a positive one of equal magnitude beyond the cut.
+    The cut is safe once a computed value past it has strictly smaller
+    magnitude. A zero m-th value has no sign to prefer.
+    """
+    last = values[order[m - 1]]
+    if last >= 0 or _magnitudes_tied(last, 0.0):
+        return False
+    return len(order) == m or _magnitudes_tied(values[order[-1]], last)
 
 
 def top_m_eigenpairs(
@@ -174,61 +169,50 @@ def top_m_eigenpairs(
     m: int,
     tol: float = 1e-10,
     max_iter: int = 1000,
-    seed: int = 0,
 ) -> SpectralTruncation:
-    """Lanczos solve for the m largest-magnitude adjacency eigenpairs.
+    """The m largest-magnitude adjacency eigenpairs, in the module's conventions.
 
-    The start vector is the normalised all-ones vector (deterministic); seeded
-    noise only enters through breakdown injections and restarts. When the
-    Krylov dimension min(n, 4m+20) does not reach ``tol`` on every retained
-    pair the factorisation restarts with doubled dimension (up to n, at which
-    point the projection is exact). Raises ConvergenceError carrying the
-    achieved residuals if the ``max_iter`` matvec budget runs out first.
+    ARPACK's implicitly restarted Lanczos (``scipy.sparse.linalg.eigsh``)
+    starts from the all-ones vector with a fixed generator for restart
+    vectors, so the result depends on the graph, m and ``tol`` only. ARPACK
+    stops on residuals relative to each eigenvalue; the absolute ``tol`` is
+    divided by the largest degree, which bounds every eigenvalue's magnitude.
+    When the m-th value is negative and may tie in magnitude with a positive
+    one beyond the cut, more pairs are computed until the cut is clear. A
+    request for n - 1 or more pairs, which ARPACK cannot serve, takes the
+    dense symmetric route instead. ``max_iter`` bounds ARPACK's restart
+    iterations. Raises ConvergenceError carrying the residuals
+    ||A v - lambda v|| if ARPACK runs out of iterations or any retained pair
+    misses ``tol``.
     """
     n = graph.n
     if n < 1:
         raise ValueError("graph is empty")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if graph.edge_count == 0:
+        # ARPACK rejects the zero operator; every unit vector is its eigenvector
+        return _ordered_truncation(np.zeros(m), np.eye(n, m))
     A = graph.to_scipy()
-    rng = np.random.default_rng(seed)
-    max_degree = float(graph.degrees().max()) if n else 0.0
-    breakdown_tol = 1e-12 * max(1.0, max_degree)
-
-    dim = min(n, 4 * m + 20)
-    v0 = np.ones(n)
-    steps = 0
-    residuals = np.full(m, np.inf)
+    arpack_tol = max(tol / max(1.0, float(graph.degrees().max())), np.finfo(np.float64).eps)
+    k = m
     while True:
-        V, alphas, betas, steps = _lanczos_factorization(
-            A, v0, dim, rng, steps, max_iter, breakdown_tol)
-        used = V.shape[1]
-        T = np.diag(alphas)
-        if used > 1:
-            T += np.diag(betas, 1) + np.diag(betas, -1)
-        theta, S = np.linalg.eigh(T)
-        ritz = V @ S
-        order = _magnitude_order(theta, ritz)[:m]
-        values = theta[order]
-        vectors = ritz[:, order]
-        residuals = np.array([
-            np.linalg.norm(A @ vectors[:, i] - values[i] * vectors[:, i])
-            for i in range(len(order))
-        ])
-        if len(order) >= m and residuals.max() <= tol:
-            return _ordered_truncation(values, vectors)
-        exhausted = steps >= max_iter
-        if exhausted or dim >= n:
-            raise ConvergenceError(
-                f"top-{m} eigensolve stalled at max residual {residuals.max():.3e} "
-                f"(tol {tol:.1e}, {steps} matvecs)",
-                residuals=residuals,
-            )
-        dim = min(n, 2 * dim)
-        combined = vectors.sum(axis=1)
-        norm = np.linalg.norm(combined)
-        v0 = combined / norm if norm > 1e-12 else np.ones(n)
-        v0 = v0 + 1e-8 * rng.standard_normal(n)
+        dense = k >= n - 1
+        values, vectors = (np.linalg.eigh(graph.to_dense()) if dense
+                           else _arpack_eigenpairs(A, k, arpack_tol, max_iter))
+        order = _magnitude_order(values, vectors)
+        if dense or not _boundary_tie_open(values, order, m):
+            break
+        k = m + 2 * (k - m) + 1
+    values, vectors = values[order[:m]], vectors[:, order[:m]]
+    residuals = _residuals(A, values, vectors)
+    if residuals.max() > tol:
+        raise ConvergenceError(
+            f"top-{m} eigensolve stalled at max residual {residuals.max():.3e} "
+            f"(tol {tol:.1e})",
+            residuals=residuals,
+        )
+    return _ordered_truncation(values, vectors)
 
 
 def spectral_gap(trunc: SpectralTruncation) -> float:

@@ -1,9 +1,11 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+import fairspect.model
 from fairspect.cli import main
 from fairspect.graph import load_attributes, load_edge_list
 
@@ -106,6 +108,34 @@ class TestSweep:
         assert len(rows) == 2  # one row per rate
         assert [row["missing_rate"] for row in rows] == ["0.1", "0.3"]
         assert all(row["runs"] == "2" for row in rows)
+
+    def test_one_eigensolve_serves_every_cell(self, tmp_path, monkeypatch):
+        edges, attrs = gen_dataset(tmp_path)
+        calls = []
+        solve = fairspect.model.top_m_eigenpairs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fairspect.model, "top_m_eigenpairs", counted)
+        common = ["--edges", str(edges), "--attributes", str(attrs), "--epochs", "10",
+                  "--m", "3", "--hidden", "8", "--d_m", "4"]
+        out = tmp_path / "sweep"
+        assert main(["sweep", *common, "--out_dir", str(out),
+                     "--missing_rates", "0.1,0.3", "--seeds", "0,1"]) == 0
+        assert len(calls) == 1
+
+        def without_runtime(path):
+            return re.sub(r'"runtime_s": [^,\n]+', '"runtime_s": 0', path.read_text())
+
+        for rate in ("0.1", "0.3"):
+            for seed in ("0", "1"):
+                single = tmp_path / f"train_{rate}_{seed}"
+                assert main(["train", *common, "--out_dir", str(single),
+                             "--missing_rate", rate, "--seed", seed]) == 0
+                assert (without_runtime(out / f"report_r{rate}_s{seed}.json")
+                        == without_runtime(single / "report.json"))
 
     def test_sweep_rejects_fixed_mask_file(self, tmp_path):
         edges, attrs = gen_dataset(tmp_path)

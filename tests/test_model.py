@@ -355,6 +355,16 @@ class TestAdamAndCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path, wrong, data.features.shape[1])
 
+    def test_checkpoint_rejects_config_with_same_shapes(self, tmp_path):
+        # m and lr leave every parameter shape unchanged
+        data, config = desk_fixture()
+        params = init_params(config, data.features.shape[1])
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, params, config)
+        other = TrainConfig(**{**config.as_dict(), "m": config.m + 1, "lr": config.lr * 2})
+        with pytest.raises(ValueError, match=r"lr \(stored .*\), m \(stored"):
+            load_checkpoint(path, other, data.features.shape[1])
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("field,value", [
