@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -61,7 +62,36 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VERIFY = 3
 
-_TRAIN_FIELD_TYPES = {f.name: f.type for f in dataclass_fields(TrainConfig)}
+
+def _field_types() -> dict[str, tuple[type, bool]]:
+    """TrainConfig field -> (int, float or bool; whether it admits None)."""
+    hints = typing.get_type_hints(TrainConfig)
+    table = {}
+    for f in dataclass_fields(TrainConfig):
+        args = typing.get_args(hints[f.name])  # () unless the hint is a union
+        kind = next((t for t in args if t is not type(None)), hints[f.name])
+        table[f.name] = (kind, type(None) in args)
+    return table
+
+
+_TRAIN_FIELD_TYPES = _field_types()
+_EXPECTED = {int: "an integer", float: "a number", bool: "true, false, 0 or 1"}
+
+
+def _check_config_value(name: str, value):
+    """Reject a config-file value that the field's type does not admit."""
+    kind, nullable = _TRAIN_FIELD_TYPES[name]
+    if value is None:
+        ok = nullable
+    elif isinstance(value, bool):
+        ok = kind is bool
+    elif kind is bool:
+        ok = isinstance(value, int) and value in (0, 1)
+    else:
+        ok = isinstance(value, int if kind is int else (int, float))
+    if not ok:
+        expected = _EXPECTED[kind] + (" or null" if nullable else "")
+        raise ValueError(f"config key {name!r} must be {expected}, got {json.dumps(value)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,20 +121,11 @@ def _json_text(payload) -> str:
 def _add_train_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", type=str, default=None,
                         help="flat JSON config file; flags override it")
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--k_hops", type=int, default=None)
-    parser.add_argument("--layers", type=int, default=None)
-    parser.add_argument("--hidden", type=int, default=None)
-    parser.add_argument("--heads", type=int, default=None)
-    parser.add_argument("--d_m", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--weight_decay", type=float, default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--missing_rate", type=float, default=None)
-    parser.add_argument("--train_size", type=int, default=None)
-    parser.add_argument("--sensitive_in_features", type=int, choices=(0, 1), default=None)
-    parser.add_argument("--spectral_fusion", type=int, choices=(0, 1), default=None)
+    for name, (kind, _) in _TRAIN_FIELD_TYPES.items():
+        if kind is bool:
+            parser.add_argument(f"--{name}", type=int, choices=(0, 1), default=None)
+        else:
+            parser.add_argument(f"--{name}", type=kind, default=None)
 
 
 _RUN_KEYS = ("edges", "attributes", "mask", "dataset", "out_dir",
@@ -120,6 +141,9 @@ def _merged_config(args) -> dict:
         unknown = set(loaded) - set(_TRAIN_FIELD_TYPES) - set(_RUN_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in loaded.items():
+            if name in _TRAIN_FIELD_TYPES:
+                _check_config_value(name, value)
         merged.update(loaded)
     for name in _TRAIN_FIELD_TYPES:
         value = getattr(args, name, None)

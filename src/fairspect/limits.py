@@ -63,8 +63,6 @@ class AlignmentSeries:
     oscillating: bool = False
     even_tail: float | None = None
     odd_tail: float | None = None
-    masked_coeffs: np.ndarray | None = None
-    complete_coeffs: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.hops) != len(self.cosines) or len(self.hops) != len(self.residuals):
@@ -189,16 +187,10 @@ def limit_check(
         companion = _normalized_cosine_series(graph, complete, complete, k_max)
         gap = np.abs(cosines - companion)
 
-    masked_coeffs = complete_coeffs = None
-    if trunc.m == trunc.n:
-        masked_coeffs = trunc.eigenvectors.T @ (padded / np.linalg.norm(padded))
-        complete_coeffs = trunc.eigenvectors.T @ (complete / np.linalg.norm(complete))
-
     return AlignmentSeries(
         variant=variant, hops=hops, cosines=cosines, limit=limit,
         residuals=np.abs(cosines - limit),
         companion_cosines=companion, companion_gap=gap,
-        masked_coeffs=masked_coeffs, complete_coeffs=complete_coeffs,
     )
 
 

@@ -19,7 +19,7 @@ All tensors are float64 and every source of randomness is seeded, so a given
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,52 +84,6 @@ class TrainConfig:
         return asdict(self)
 
 
-@dataclass
-class ModelParams:
-    """All trainable tensors, grouped the way the network consumes them."""
-
-    attn_q: list[Tensor] = field(default_factory=list)
-    attn_k: list[Tensor] = field(default_factory=list)
-    attn_v: list[Tensor] = field(default_factory=list)
-    ln_attn_scale: Tensor | None = None
-    ln_attn_shift: Tensor | None = None
-    ln_ffn_scale: Tensor | None = None
-    ln_ffn_shift: Tensor | None = None
-    ffn_w1: Tensor | None = None
-    ffn_b1: Tensor | None = None
-    ffn_w2: Tensor | None = None
-    ffn_b2: Tensor | None = None
-    gate_w: list[Tensor] = field(default_factory=list)
-    gate_b: list[Tensor] = field(default_factory=list)
-    fuse_w: list[Tensor] = field(default_factory=list)
-    cls_w: Tensor | None = None
-    cls_b: Tensor | None = None
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name in ("attn_q", "attn_k", "attn_v", "gate_w", "gate_b", "fuse_w"):
-            for i, t in enumerate(getattr(self, name)):
-                out[f"{name}_{i}"] = t
-        for name in ("ln_attn_scale", "ln_attn_shift", "ln_ffn_scale", "ln_ffn_shift",
-                     "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2", "cls_w", "cls_b"):
-            t = getattr(self, name)
-            if t is not None:
-                out[name] = t
-        return out
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {k: t.data.copy() for k, t in self.named_tensors().items()}
-
-    def load_values(self, values: dict[str, np.ndarray]):
-        tensors = self.named_tensors()
-        if set(values) != set(tensors):
-            raise ValueError("parameter name sets do not match")
-        for k, t in tensors.items():
-            if values[k].shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {k}: {values[k].shape} vs {t.data.shape}")
-            t.data = values[k].astype(np.float64).copy()
-
-
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> Tensor:
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
@@ -139,37 +93,52 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def init_params(config: TrainConfig, feature_width: int, seed: int | None = None) -> ModelParams:
-    """Seeded parameter initialisation for the given feature width."""
+def init_params(config: TrainConfig, feature_width: int,
+                seed: int | None = None) -> dict[str, Tensor]:
+    """Seeded parameter initialisation for the given feature width.
+
+    The parameters are one name -> tensor map; the names are the checkpoint's
+    (``attn_q_0``, ``gate_w_1``, ``cls_b``, ...). Per-head and per-layer
+    tensors carry their index as a suffix.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    p = ModelParams()
+    p: dict[str, Tensor] = {}
     d_m = config.d_m
     if config.spectral_fusion:
         d_head = d_m // config.heads
-        for _ in range(config.heads):
-            p.attn_q.append(_glorot(rng, d_m, d_head, (d_m, d_head)))
-            p.attn_k.append(_glorot(rng, d_m, d_head, (d_m, d_head)))
-            p.attn_v.append(_glorot(rng, d_m, d_head, (d_m, d_head)))
-        p.ln_attn_scale = Tensor(np.ones(d_m), requires_grad=True)
-        p.ln_attn_shift = _zeros(d_m)
-        p.ln_ffn_scale = Tensor(np.ones(d_m), requires_grad=True)
-        p.ln_ffn_shift = _zeros(d_m)
+        for h in range(config.heads):
+            for name in ("attn_q", "attn_k", "attn_v"):
+                p[f"{name}_{h}"] = _glorot(rng, d_m, d_head, (d_m, d_head))
+        p["ln_attn_scale"] = Tensor(np.ones(d_m), requires_grad=True)
+        p["ln_attn_shift"] = _zeros(d_m)
+        p["ln_ffn_scale"] = Tensor(np.ones(d_m), requires_grad=True)
+        p["ln_ffn_shift"] = _zeros(d_m)
         ffn_dim = FFN_WIDTH_FACTOR * d_m
-        p.ffn_w1 = _glorot(rng, d_m, ffn_dim, (d_m, ffn_dim))
-        p.ffn_b1 = _zeros(ffn_dim)
-        p.ffn_w2 = _glorot(rng, ffn_dim, d_m, (ffn_dim, d_m))
-        p.ffn_b2 = _zeros(d_m)
-        for _ in range(config.layers):
-            p.gate_w.append(_glorot(rng, d_m, 1, (d_m, 1)))
-            p.gate_b.append(_zeros(1))
+        p["ffn_w1"] = _glorot(rng, d_m, ffn_dim, (d_m, ffn_dim))
+        p["ffn_b1"] = _zeros(ffn_dim)
+        p["ffn_w2"] = _glorot(rng, ffn_dim, d_m, (ffn_dim, d_m))
+        p["ffn_b2"] = _zeros(d_m)
+        for layer in range(config.layers):
+            p[f"gate_w_{layer}"] = _glorot(rng, d_m, 1, (d_m, 1))
+            p[f"gate_b_{layer}"] = _zeros(1)
     width = feature_width
     for layer in range(config.layers):
         in_width = (width if layer == 0 else config.hidden) + feature_width
-        p.fuse_w.append(_glorot(rng, in_width, config.hidden, (in_width, config.hidden)))
-    p.cls_w = _glorot(rng, config.hidden, 2, (config.hidden, 2))
-    p.cls_b = _zeros(2)
+        p[f"fuse_w_{layer}"] = _glorot(rng, in_width, config.hidden, (in_width, config.hidden))
+    p["cls_w"] = _glorot(rng, config.hidden, 2, (config.hidden, 2))
+    p["cls_b"] = _zeros(2)
     return p
+
+
+def _assign(params: dict[str, Tensor], values: dict[str, np.ndarray]):
+    """Overwrite every parameter with ``values``, which must match in names and shapes."""
+    if set(values) != set(params):
+        raise ValueError("parameter name sets do not match")
+    for k, t in params.items():
+        if values[k].shape != t.data.shape:
+            raise ValueError(f"shape mismatch for {k}: {values[k].shape} vs {t.data.shape}")
+        t.data = values[k].astype(np.float64)
 
 
 def attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
@@ -195,10 +164,10 @@ def attention_weights(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray) -> np.nda
     return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
-def multi_head_attention(x: Tensor, params: ModelParams) -> Tensor:
+def multi_head_attention(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     heads = [
-        attention(x, params.attn_q[h], params.attn_k[h], params.attn_v[h])
-        for h in range(len(params.attn_q))
+        attention(x, params[f"attn_q_{h}"], params[f"attn_k_{h}"], params[f"attn_v_{h}"])
+        for h in range(sum(name.startswith("attn_q_") for name in params))
     ]
     out = heads[0]
     for h in heads[1:]:
@@ -210,14 +179,14 @@ def _layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     return ad.layer_norm_rows(x) * scale + shift
 
 
-def transformer_block(e_pe: Tensor, params: ModelParams) -> Tensor:
+def transformer_block(e_pe: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Pre-norm block: attention and FFN sublayers, each with a residual."""
     attended = multi_head_attention(
-        _layer_norm(e_pe, params.ln_attn_scale, params.ln_attn_shift), params)
+        _layer_norm(e_pe, params["ln_attn_scale"], params["ln_attn_shift"]), params)
     e_mha = attended + e_pe
-    hidden = ad.gelu(_layer_norm(e_mha, params.ln_ffn_scale, params.ln_ffn_shift)
-                     @ params.ffn_w1 + params.ffn_b1)
-    return hidden @ params.ffn_w2 + params.ffn_b2 + e_mha
+    hidden = ad.gelu(_layer_norm(e_mha, params["ln_ffn_scale"], params["ln_ffn_shift"])
+                     @ params["ffn_w1"] + params["ffn_b1"])
+    return hidden @ params["ffn_w2"] + params["ffn_b2"] + e_mha
 
 
 def spectral_filter(p_st: Tensor, gates: Tensor, h_padded: Tensor) -> Tensor:
@@ -249,11 +218,9 @@ def fuse_layer(
 class PreparedData:
     """Everything ``forward``/``train`` need, computed once per run."""
 
-    graph: Graph
     features: np.ndarray
     labels: np.ndarray
     split: Split
-    sensitive: SensitiveColumn
     trunc: SpectralTruncation | None
     khop: np.ndarray | None
 
@@ -294,13 +261,10 @@ def prepare_inputs(
     else:
         trunc = None
         khop = propagate_k_hop(graph, padded, config.k_hops, normalize=False)
-    return PreparedData(
-        graph=graph, features=padded, labels=labels, split=split,
-        sensitive=sensitive, trunc=trunc, khop=khop,
-    )
+    return PreparedData(features=padded, labels=labels, split=split, trunc=trunc, khop=khop)
 
 
-def forward(data: PreparedData, params: ModelParams, config: TrainConfig) -> Tensor:
+def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig) -> Tensor:
     """Logits for every node, (n, 2)."""
     h_padded = Tensor(data.features)
     h = h_padded
@@ -309,34 +273,32 @@ def forward(data: PreparedData, params: ModelParams, config: TrainConfig) -> Ten
         e_gt = transformer_block(e_pe, params)
         p_st = Tensor(data.trunc.eigenvectors)
         for layer in range(config.layers):
-            h = fuse_layer(p_st, e_gt, h_padded, h,
-                           params.gate_w[layer], params.gate_b[layer],
-                           params.fuse_w[layer])
+            h = fuse_layer(p_st, e_gt, h_padded, h, params[f"gate_w_{layer}"],
+                           params[f"gate_b_{layer}"], params[f"fuse_w_{layer}"])
     else:
         hop_encoded = Tensor(data.khop)
         for layer in range(config.layers):
-            h = ad.relu(ad.concat_cols(h, hop_encoded) @ params.fuse_w[layer])
-    return h @ params.cls_w + params.cls_b
+            h = ad.relu(ad.concat_cols(h, hop_encoded) @ params[f"fuse_w_{layer}"])
+    return h @ params["cls_w"] + params["cls_b"]
 
 
-def loss_on(data: PreparedData, params: ModelParams, config: TrainConfig,
+def loss_on(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
             indices: np.ndarray) -> Tensor:
     logits = forward(data, params, config)
     return ad.mean_cross_entropy(ad.take_rows(logits, indices), data.labels[indices])
 
 
-def gradients(params: ModelParams, data: PreparedData, config: TrainConfig,
+def gradients(params: dict[str, Tensor], data: PreparedData, config: TrainConfig,
               indices: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of the mean train cross entropy, by tensor name."""
     if indices is None:
         indices = data.split.train
-    tensors = params.named_tensors()
-    ad.zero_grads(tensors.values())
+    ad.zero_grads(params.values())
     loss = loss_on(data, params, config, indices)
     loss.backward()
     return {
         name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in tensors.items()
+        for name, t in params.items()
     }
 
 
@@ -372,51 +334,56 @@ def argmax_predict(logits: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1).astype(np.int64)
 
 
-def predict(params: ModelParams, data: PreparedData, config: TrainConfig) -> np.ndarray:
+def predict(params: dict[str, Tensor], data: PreparedData, config: TrainConfig) -> np.ndarray:
     return argmax_predict(forward(data, params, config).data)
 
 
-def train(data: PreparedData, config: TrainConfig) -> tuple[ModelParams, dict]:
+def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], dict]:
     """Full-graph Adam training with best-validation-accuracy model selection.
 
     History holds the per-epoch train loss and validation accuracy. The
     returned parameters are the snapshot from the first epoch achieving the
     best validation accuracy. Raises TrainingDivergedError on non-finite loss.
+
+    Each step runs one forward: the logits after step e score step e on the
+    validation nodes and give step e + 1 its loss.
     """
     config.validate()
     params = init_params(config, data.features.shape[1])
-    optimizer = Adam(params.named_tensors(), lr=config.lr,
-                     weight_decay=config.weight_decay)
+    optimizer = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
     history = {"train_loss": [], "val_acc": []}
-    select = len(data.split.val) > 0  # no validation signal -> keep final params
+    train_idx, val_idx = data.split.train, data.split.val
+    select = len(val_idx) > 0  # no validation signal -> keep final params
     best_acc = -1.0
-    best_values = params.copy_values()
+    best_values = {k: t.data.copy() for k, t in params.items()}
+    logits = forward(data, params, config)
     for epoch in range(config.epochs):
-        ad.zero_grads(params.named_tensors().values())
-        loss = loss_on(data, params, config, data.split.train)
+        loss = ad.mean_cross_entropy(ad.take_rows(logits, train_idx), data.labels[train_idx])
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(epoch)
+        ad.zero_grads(params.values())
         loss.backward()
         optimizer.step()
+        logits = forward(data, params, config)
         if select:
-            val_pred = predict(params, data, config)[data.split.val]
-            val_acc = float(np.mean(val_pred == data.labels[data.split.val]))
+            val_pred = argmax_predict(logits.data[val_idx])
+            val_acc = float(np.mean(val_pred == data.labels[val_idx]))
         else:
             val_acc = float("nan")
         history["train_loss"].append(loss_value)
         history["val_acc"].append(val_acc)
         if select and val_acc > best_acc:
             best_acc = val_acc
-            best_values = params.copy_values()
+            best_values = {k: t.data.copy() for k, t in params.items()}
     if select:
-        params.load_values(best_values)
+        _assign(params, best_values)
     return params, history
 
 
-def save_checkpoint(path, params: ModelParams, config: TrainConfig):
+def save_checkpoint(path, params: dict[str, Tensor], config: TrainConfig):
     """Versioned binary container of all parameter tensors with shape headers."""
-    arrays = {f"param__{k}": t.data for k, t in params.named_tensors().items()}
+    arrays = {f"param__{k}": t.data for k, t in params.items()}
     np.savez(
         path,
         format_version=np.array(CHECKPOINT_FORMAT_VERSION),
@@ -425,7 +392,7 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig):
     )
 
 
-def load_checkpoint(path, config: TrainConfig, feature_width: int) -> ModelParams:
+def load_checkpoint(path, config: TrainConfig, feature_width: int) -> dict[str, Tensor]:
     """Rebuild parameters from a checkpoint, validating config and shapes.
 
     The config the checkpoint was trained under must equal ``config`` field
@@ -448,5 +415,5 @@ def load_checkpoint(path, config: TrainConfig, feature_width: int) -> ModelParam
             for key in archive.files if key.startswith("param__")
         }
     params = init_params(config, feature_width)
-    params.load_values(values)
+    _assign(params, values)
     return params

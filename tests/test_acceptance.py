@@ -171,7 +171,7 @@ def test_criterion_5_gradient_correctness():
     h = 1e-5
     worst = 0.0
     count = 0
-    for name, tensor in params.named_tensors().items():
+    for name, tensor in params.items():
         it = np.nditer(tensor.data, flags=["multi_index"])
         for _ in it:
             at = it.multi_index

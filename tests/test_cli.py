@@ -222,6 +222,34 @@ class TestConfigAndExitCodes:
         config.write_text(json.dumps({"epoch": 5}))  # typo for "epochs"
         assert main(["train", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("m", "2"), ("spectral_fusion", "0"), ("spectral_fusion", 2), ("m", 2.5),
+        ("m", True), ("lr", "0.1"), ("epochs", None), ("sensitive_in_features", 0.0),
+    ])
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, key, value):
+        edges, attrs = write_k3(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"edges": str(edges), "attributes": str(attrs),
+                                      "epochs": 2, key: value}))
+        code = main(["train", "--config", str(config), "--out_dir", str(tmp_path / "run")])
+        assert code == 1
+        assert re.search(rf"error: config key '{key}' must be", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_config_values_of_admitted_types_train(self, tmp_path):
+        edges, attrs = gen_dataset(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "edges": str(edges), "attributes": str(attrs), "epochs": 2, "m": 3,
+            "hidden": 8, "d_m": 4, "lr": 1, "spectral_fusion": 0,
+            "sensitive_in_features": True, "train_size": None,
+        }))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out_dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["spectral_fusion"] is False
+        assert report["config"]["sensitive_in_features"] is True
+
     @pytest.mark.parametrize("edges_text", [
         "# n=1000000000000\n0 1\n",
         "0 1\n1 99999999999999999999\n",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fairspect import autodiff as ad
+from fairspect import model
 from fairspect.autodiff import Tensor
 from fairspect.graph import Split, apply_missing_mask, make_split
 from fairspect.model import (
@@ -100,7 +101,7 @@ class TestTransformerBlock:
     def test_zero_weights_pass_through(self):
         config = TrainConfig(m=3, d_m=4, heads=2, hidden=4)
         params = init_params(config, feature_width=2)
-        for name, tensor in params.named_tensors().items():
+        for name, tensor in params.items():
             if name.startswith(("attn_", "ffn_")):
                 tensor.data = np.zeros_like(tensor.data)
         rng = np.random.default_rng(4)
@@ -156,8 +157,8 @@ class TestForward:
     def test_zero_classifier_gives_zero_logits_and_class_zero(self):
         data, config = desk_fixture()
         params = init_params(config, data.features.shape[1])
-        params.cls_w.data = np.zeros_like(params.cls_w.data)
-        params.cls_b.data = np.zeros_like(params.cls_b.data)
+        params["cls_w"].data = np.zeros_like(params["cls_w"].data)
+        params["cls_b"].data = np.zeros_like(params["cls_b"].data)
         logits = forward(data, params, config).data
         assert np.allclose(logits, 0.0)
         assert argmax_predict(logits).tolist() == [0] * 6
@@ -168,11 +169,9 @@ class TestForward:
         logits = forward(data, params, config).data
         perm = np.array([3, 0, 5, 1, 4, 2])
         permuted = PreparedData(
-            graph=data.graph,
             features=data.features[perm],
             labels=data.labels[perm],
             split=data.split,
-            sensitive=data.sensitive,
             trunc=type(data.trunc)(
                 eigenvalues=data.trunc.eigenvalues.copy(),
                 eigenvectors=data.trunc.eigenvectors[perm].copy(),
@@ -201,7 +200,7 @@ class TestGradients:
         params = init_params(config, data.features.shape[1])
         grads = gradients(params, data, config)
         idx = data.split.train
-        for name, tensor in params.named_tensors().items():
+        for name, tensor in params.items():
             it = np.nditer(tensor.data, flags=["multi_index"])
             for _ in it:
                 at = it.multi_index
@@ -234,18 +233,17 @@ class TestGradients:
         split = Split(train=np.arange(4), val=np.empty(0, dtype=np.int64),
                       test=np.empty(0, dtype=np.int64))
         trunc = dense_eigendecomposition(graph)
-        data = PreparedData(graph=graph, features=features, labels=labels,
-                            split=split, sensitive=None,
+        data = PreparedData(features=features, labels=labels, split=split,
                             trunc=type(trunc)(eigenvalues=trunc.eigenvalues[:2].copy(),
                                               eigenvectors=trunc.eigenvectors[:, :2].copy()),
                             khop=None)
         params = init_params(config, 1)
-        for name, tensor in params.named_tensors().items():
+        for name, tensor in params.items():
             if name.startswith(("attn_", "ffn_", "gate_")):
                 tensor.data = np.zeros_like(tensor.data)
-        params.fuse_w[0].data = np.array([[20.0], [0.0]])
-        params.cls_w.data = np.array([[-2.0, 2.0]])
-        params.cls_b.data = np.array([20.0, 0.0])
+        params["fuse_w_0"].data = np.array([[20.0], [0.0]])
+        params["cls_w"].data = np.array([[-2.0, 2.0]])
+        params["cls_b"].data = np.array([20.0, 0.0])
         loss = loss_on(data, params, config, split.train)
         assert float(loss.data) < 1e-6  # perfectly separated, saturated softmax
         grads = gradients(params, data, config)
@@ -255,13 +253,12 @@ class TestGradients:
     def test_doubling_loss_doubles_gradients(self):
         data, config = desk_fixture()
         params = init_params(config, data.features.shape[1])
-        tensors = params.named_tensors()
-        ad.zero_grads(tensors.values())
+        ad.zero_grads(params.values())
         loss_on(data, params, config, data.split.train).backward()
-        singles = {k: t.grad.copy() for k, t in tensors.items()}
-        ad.zero_grads(tensors.values())
+        singles = {k: t.grad.copy() for k, t in params.items()}
+        ad.zero_grads(params.values())
         (loss_on(data, params, config, data.split.train) * 2.0).backward()
-        for k, t in tensors.items():
+        for k, t in params.items():
             assert np.allclose(t.grad, 2.0 * singles[k], rtol=1e-13, atol=0)
 
 
@@ -279,7 +276,67 @@ def separable_toy(seed=0):
     return data, config
 
 
+def two_forward_train(data, config):
+    """Reference loop: a loss forward per step, then a ``predict`` forward to score it."""
+    params = init_params(config, data.features.shape[1])
+    optimizer = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
+    history = {"train_loss": [], "val_acc": []}
+    select = len(data.split.val) > 0
+    best_acc = -1.0
+    best_values = {k: t.data.copy() for k, t in params.items()}
+    for _ in range(config.epochs):
+        ad.zero_grads(params.values())
+        loss = loss_on(data, params, config, data.split.train)
+        loss.backward()
+        optimizer.step()
+        if select:
+            val_pred = predict(params, data, config)[data.split.val]
+            val_acc = float(np.mean(val_pred == data.labels[data.split.val]))
+        else:
+            val_acc = float("nan")
+        history["train_loss"].append(float(loss.data))
+        history["val_acc"].append(val_acc)
+        if select and val_acc > best_acc:
+            best_acc = val_acc
+            best_values = {k: t.data.copy() for k, t in params.items()}
+    if select:
+        for k, t in params.items():
+            t.data = best_values[k]
+    return params, history
+
+
 class TestTrain:
+    def test_one_forward_per_step(self, monkeypatch):
+        data, config = separable_toy()
+        config.epochs = 20
+        calls = []
+        original = model.forward
+
+        def counting_forward(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        train(data, config)
+        assert len(calls) == config.epochs + 1
+
+    @pytest.mark.parametrize("with_val", [True, False])
+    @pytest.mark.parametrize("spectral_fusion", [True, False])
+    def test_matches_two_forward_reference(self, with_val, spectral_fusion):
+        data, config = (separable_toy(seed=2) if spectral_fusion
+                        else desk_fixture(spectral_fusion=False))
+        if not with_val:
+            data.split = Split(train=np.concatenate([data.split.train, data.split.val]),
+                               val=np.empty(0, dtype=np.int64), test=data.split.test)
+        config.epochs = 80
+        params, history = train(data, config)
+        ref_params, ref_history = two_forward_train(data, config)
+        assert history["train_loss"] == ref_history["train_loss"]
+        assert np.array_equal(history["val_acc"], ref_history["val_acc"], equal_nan=True)
+        assert params.keys() == ref_params.keys()
+        for k, t in params.items():
+            assert np.array_equal(t.data, ref_params[k].data), k
+
     def test_separable_toy_reaches_full_train_accuracy(self):
         data, config = separable_toy()
         params, history = train(data, config)
@@ -291,8 +348,8 @@ class TestTrain:
         data, config = separable_toy(seed=3)
         params_a, hist_a = train(data, config)
         params_b, hist_b = train(data, config)
-        for k, t in params_a.named_tensors().items():
-            assert np.array_equal(t.data, params_b.named_tensors()[k].data)
+        for k, t in params_a.items():
+            assert np.array_equal(t.data, params_b[k].data)
         assert hist_a == hist_b
 
     def test_zero_learning_rate_keeps_initial_params(self):
@@ -301,8 +358,8 @@ class TestTrain:
         config.epochs = 10
         params, history = train(data, config)
         fresh = init_params(config, data.features.shape[1])
-        for k, t in params.named_tensors().items():
-            assert np.array_equal(t.data, fresh.named_tensors()[k].data)
+        for k, t in params.items():
+            assert np.array_equal(t.data, fresh[k].data)
         assert len(set(history["val_acc"])) == 1
 
     def test_empty_validation_set_keeps_final_params(self):
@@ -343,8 +400,8 @@ class TestAdamAndCheckpoint:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, params, config)
         loaded = load_checkpoint(path, config, data.features.shape[1])
-        for k, t in params.named_tensors().items():
-            assert np.array_equal(t.data, loaded.named_tensors()[k].data)
+        for k, t in params.items():
+            assert np.array_equal(t.data, loaded[k].data)
 
     def test_checkpoint_shape_validation(self, tmp_path):
         data, config = desk_fixture()
