@@ -108,10 +108,17 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, grad: np.ndarray):
+    """Add ``grad`` into ``t.grad``.
+
+    ``t.grad`` may become the very array passed in, so it can share memory
+    with another tensor's gradient. That is safe because no gradient is ever
+    mutated in place: every update here and in every consumer builds a new
+    array.
+    """
     if not t.requires_grad:
         return
     grad = _unbroadcast(grad, t.data.shape)
-    t.grad = grad.copy() if t.grad is None else t.grad + grad
+    t.grad = grad if t.grad is None else t.grad + grad
 
 
 def zero_grads(tensors):
@@ -143,8 +150,11 @@ def matmul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
 
     def grad_fn(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        # constants (P, H) are most operands; skip adjoints nobody receives
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _make(a.data @ b.data, (a, b), grad_fn)
 

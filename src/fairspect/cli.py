@@ -9,7 +9,9 @@ defaults. Exit codes: 0 success, 1 usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -62,6 +64,12 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_VERIFY = 3
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+class WorkerDiedError(RuntimeError):
+    """A sweep worker process ended without a result, e.g. killed for memory."""
+
 
 def _field_types() -> dict[str, tuple[type, bool]]:
     """TrainConfig field -> (int, float or bool; whether it admits None)."""
@@ -76,22 +84,56 @@ def _field_types() -> dict[str, tuple[type, bool]]:
 
 _TRAIN_FIELD_TYPES = _field_types()
 _EXPECTED = {int: "an integer", float: "a number", bool: "true, false, 0 or 1"}
+# config keys that are not TrainConfig fields -> type; each also takes null, and
+# the two grids take a list or the comma-separated string their flags take
+_RUN_KEY_TYPES = {"edges": str, "attributes": str, "mask": str, "dataset": str,
+                  "out_dir": str, "missing_rates": float, "seeds": int}
+_EXPECTED_RUN = {
+    str: "a string or null",
+    float: "a list of numbers, a comma-separated string or null",
+    int: "a list of integers, a comma-separated string or null",
+}
 
 
-def _check_config_value(name: str, value):
-    """Reject a config-file value that the field's type does not admit."""
-    kind, nullable = _TRAIN_FIELD_TYPES[name]
-    if value is None:
-        ok = nullable
+def _coerced(kind: type, value):
+    """A JSON value as a field of ``kind`` holds it; TypeError if ``kind`` does not admit it.
+
+    A bool is no number, a switch also takes 0 and 1, and a number field
+    holds an integer as a float, the way its flag parses it.
+    """
+    if kind is bool:
+        if isinstance(value, int) and value in (0, 1):
+            return value
     elif isinstance(value, bool):
-        ok = kind is bool
-    elif kind is bool:
-        ok = isinstance(value, int) and value in (0, 1)
-    else:
-        ok = isinstance(value, int if kind is int else (int, float))
-    if not ok:
+        pass
+    elif kind is float and isinstance(value, (int, float)):
+        return float(value)
+    elif isinstance(value, kind):
+        return value
+    raise TypeError(value)
+
+
+def _config_value(name: str, value):
+    """A config-file value, checked against its key's type and coerced like its flag."""
+    train_field = name in _TRAIN_FIELD_TYPES
+    if train_field:
+        kind, nullable = _TRAIN_FIELD_TYPES[name]
         expected = _EXPECTED[kind] + (" or null" if nullable else "")
-        raise ValueError(f"config key {name!r} must be {expected}, got {json.dumps(value)}")
+    else:
+        kind, nullable = _RUN_KEY_TYPES[name], True
+        expected = _EXPECTED_RUN[kind]
+    try:
+        if value is None and nullable:
+            return None
+        if train_field:
+            return _coerced(kind, value)
+        if isinstance(value, str):
+            return value
+        if kind is not str and isinstance(value, list):
+            return [_coerced(kind, item) for item in value]
+    except (TypeError, OverflowError):  # float() of an integer beyond float range
+        pass
+    raise ValueError(f"config key {name!r} must be {expected}, got {json.dumps(value)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -128,28 +170,21 @@ def _add_train_flags(parser: argparse.ArgumentParser):
             parser.add_argument(f"--{name}", type=kind, default=None)
 
 
-_RUN_KEYS = ("edges", "attributes", "mask", "dataset", "out_dir",
-             "missing_rates", "seeds")
-
-
 def _merged_config(args) -> dict:
     merged: dict = {}
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a flat JSON object")
-        unknown = set(loaded) - set(_TRAIN_FIELD_TYPES) - set(_RUN_KEYS)
+        unknown = set(loaded) - set(_TRAIN_FIELD_TYPES) - set(_RUN_KEY_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in loaded.items():
-            if name in _TRAIN_FIELD_TYPES:
-                _check_config_value(name, value)
-        merged.update(loaded)
+        merged = {name: _config_value(name, value) for name, value in loaded.items()}
     for name in _TRAIN_FIELD_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    for name in _RUN_KEYS:
+    for name in _RUN_KEY_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
@@ -208,6 +243,75 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
         config=config.as_dict(), runtime_s=runtime,
     )
     return report, params
+
+
+def _sweep_cell(inputs: tuple, trunc, config: TrainConfig):
+    """One grid cell's report; its parameters stay in the process that trained them."""
+    report, _params = _run_single_training(*inputs, config, trunc)
+    return report
+
+
+# Set only inside pool workers, by the pool initializer. The cell function and
+# the data it closes over reach the workers through fork, so only a cell's
+# config goes out and its report comes back.
+_worker_cell = None
+
+
+def _adopt_cell(run_cell):
+    global _worker_cell
+    _worker_cell = run_cell
+
+
+def _run_adopted_cell(config: TrainConfig):
+    return _worker_cell(config)
+
+
+def sweep_worker_count(cells: int) -> int:
+    """Processes for a sweep of ``cells`` cells: min(cells, CPUs // BLAS threads).
+
+    BLAS threads per process are the first of the BLAS thread variables that
+    holds a positive integer. With none set, BLAS is taken to use every CPU,
+    which leaves room for one process: more would oversubscribe the CPUs.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdecimal() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, min(cells, cpus // blas))
+
+
+@contextlib.contextmanager
+def _cell_reports(run_cell, configs: list, workers: int):
+    """Yield the reports of ``run_cell`` over ``configs``, from ``workers`` processes.
+
+    Reports come in grid order either way. The first cell to fail, in grid
+    order, raises its own exception where its report is read; cells not yet
+    started are cancelled when the block exits.
+    """
+    if workers == 1:
+        yield map(run_cell, configs)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing import get_context
+
+    # a forked worker flushes the stdio buffers it inherited when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_adopt_cell, initargs=(run_cell,))
+    try:
+        yield pool.map(_run_adopted_cell, configs)
+    except BrokenProcessPool as exc:
+        raise WorkerDiedError(f"a sweep worker process died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_gen(args) -> int:
@@ -288,19 +392,20 @@ def cmd_sweep(args) -> int:
     out_dir = Path(merged.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = [(rate, seed, _train_config_from(merged, missing_rate=rate, seed=seed))
-             for rate in rates for seed in seeds]
+    grid = [(rate, seed) for rate in rates for seed in seeds]
+    configs = [_train_config_from(merged, missing_rate=rate, seed=seed) for rate, seed in grid]
     # every cell shares the graph, m and the fusion switch, so one solve serves the grid
-    trunc = structural_truncation(graph, cells[0][2]) if cells else None
+    trunc = structural_truncation(graph, configs[0]) if configs else None
+    run_cell = functools.partial(
+        _sweep_cell, (graph, attrs, sensitive, labels, dataset, merged), trunc)
     by_rate: dict[float, list] = {rate: [] for rate in rates}
-    for rate, seed, config in cells:
-        report, _params = _run_single_training(graph, attrs, sensitive, labels,
-                                               dataset, merged, config, trunc)
-        name = f"report_r{rate:g}_s{seed}.json"
-        _atomic_write_text(out_dir / name, _json_text(report.to_json_dict()))
-        by_rate[rate].append(report)
-        print(f"rate={rate:g} seed={seed} acc={report.accuracy:.4f} "
-              f"d_sp={report.delta_sp:.4f}%")
+    with _cell_reports(run_cell, configs, sweep_worker_count(len(configs))) as reports:
+        for (rate, seed), report in zip(grid, reports):
+            name = f"report_r{rate:g}_s{seed}.json"
+            _atomic_write_text(out_dir / name, _json_text(report.to_json_dict()))
+            by_rate[rate].append(report)
+            print(f"rate={rate:g} seed={seed} acc={report.accuracy:.4f} "
+                  f"d_sp={report.delta_sp:.4f}%")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -515,7 +620,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (EdgeListFormatError, AttributeTableError, UndefinedMetricError,
-            DegenerateVectorError, ValueError, OSError, json.JSONDecodeError) as exc:
+            DegenerateVectorError, ValueError, OSError, json.JSONDecodeError,
+            WorkerDiedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

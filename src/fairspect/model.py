@@ -40,6 +40,10 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"training diverged at epoch {epoch} (non-finite loss)")
         self.epoch = epoch
 
+    def __reduce__(self):
+        # pickle calls the class with ``args``, which hold the message, not the epoch
+        return type(self), (self.epoch,)
+
 
 @dataclass
 class TrainConfig:

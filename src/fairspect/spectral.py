@@ -33,6 +33,10 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.residuals = residuals
 
+    def __reduce__(self):
+        # pickle calls the class with ``args``, which lack the residuals
+        return type(self), (str(self), self.residuals)
+
 
 @dataclass(frozen=True)
 class SpectralTruncation:

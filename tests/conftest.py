@@ -1,7 +1,21 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from fairspect.graph import SensitiveColumn, from_edges
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left_running():
+    """Fail a test that leaves a live child process behind, then stop it."""
+    yield
+    children = multiprocessing.active_children()
+    for child in children:
+        child.terminate()
+        child.join(timeout=10)
+    if children:
+        pytest.fail(f"test left child processes running: {children}")
 
 
 @pytest.fixture

@@ -1,13 +1,21 @@
 import csv
 import json
+import os
+import pickle
 import re
 
 import numpy as np
 import pytest
 
+import fairspect.cli
 import fairspect.model
-from fairspect.cli import main
-from fairspect.graph import load_attributes, load_edge_list
+from fairspect.cli import main, sweep_worker_count
+from fairspect.encoding import DegenerateVectorError
+from fairspect.fairness import UndefinedMetricError
+from fairspect.graph import (AttributeTableError, EdgeListFormatError, load_attributes,
+                             load_edge_list)
+from fairspect.model import TrainingDivergedError
+from fairspect.spectral import ConvergenceError
 
 K3_EDGES = "# n=3\n0 1\n0 2\n1 2\n"
 K3_ATTRS = "id,f0,sensitive,label\n0,0.5,1,0\n1,0.1,0,1\n2,0.9,1,1\n"
@@ -32,6 +40,32 @@ def gen_dataset(tmp_path, n=48, seed=0):
     ])
     assert code == 0
     return edges, attrs
+
+
+def without_runtime(path):
+    return re.sub(r'"runtime_s": [^,\n]+', '"runtime_s": 0', path.read_text())
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def use_cpus(monkeypatch, count, blas_threads=None):
+    """Pretend the process may run on ``count`` CPUs with the given BLAS threading."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if blas_threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+
+
+@pytest.fixture(params=["one-worker", "pool"])
+def sweep_workers(request, monkeypatch):
+    """Run a sweep in-process, or in a pool of two forked workers on any host."""
+    if request.param == "pool":
+        use_cpus(monkeypatch, 2, blas_threads="1")
+        return 2
+    use_cpus(monkeypatch, 2)
+    return 1
 
 
 class TestGen:
@@ -91,7 +125,8 @@ class TestMask:
 
 
 class TestSweep:
-    def test_grid_outputs(self, tmp_path):
+    def test_grid_outputs(self, tmp_path, sweep_workers):
+        assert sweep_worker_count(4) == sweep_workers
         edges, attrs = gen_dataset(tmp_path)
         out = tmp_path / "sweep"
         code = main([
@@ -109,6 +144,7 @@ class TestSweep:
         assert [row["missing_rate"] for row in rows] == ["0.1", "0.3"]
         assert all(row["runs"] == "2" for row in rows)
 
+    @pytest.mark.usefixtures("sweep_workers")
     def test_one_eigensolve_serves_every_cell(self, tmp_path, monkeypatch):
         edges, attrs = gen_dataset(tmp_path)
         calls = []
@@ -126,9 +162,6 @@ class TestSweep:
                      "--missing_rates", "0.1,0.3", "--seeds", "0,1"]) == 0
         assert len(calls) == 1
 
-        def without_runtime(path):
-            return re.sub(r'"runtime_s": [^,\n]+', '"runtime_s": 0', path.read_text())
-
         for rate in ("0.1", "0.3"):
             for seed in ("0", "1"):
                 single = tmp_path / f"train_{rate}_{seed}"
@@ -144,6 +177,106 @@ class TestSweep:
         code = main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
                      "--mask", str(mask), "--out_dir", str(tmp_path / "sw")])
         assert code == 1
+
+    def test_second_cell_diverging_in_pool_exits_2_like_train(self, tmp_path, capsys,
+                                                              monkeypatch):
+        use_cpus(monkeypatch, 2, blas_threads="1")
+        edges, attrs = gen_dataset(tmp_path)
+        cells_ran_in = tmp_path / "pids"
+        cells_ran_in.mkdir()
+        prepare = fairspect.cli.prepare_inputs
+
+        def poisoned(*args, **kwargs):
+            data = prepare(*args, **kwargs)
+            (cells_ran_in / str(os.getpid())).touch()
+            if args[5].seed == 1:  # the config
+                data.features = np.full_like(data.features, 1e308)  # overflow in matmul
+            return data
+
+        monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned)
+        common = ["--edges", str(edges), "--attributes", str(attrs), "--epochs", "10",
+                  "--m", "3", "--hidden", "8", "--d_m", "4"]
+        out = tmp_path / "sweep"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["sweep", *common, "--out_dir", str(out),
+                         "--missing_rates", "0.1,0.3", "--seeds", "0,1"])
+            sweep_err = capsys.readouterr().err
+            assert main(["train", *common, "--out_dir", str(tmp_path / "train"),
+                         "--missing_rate", "0.1", "--seed", "1"]) == 2
+            train_err = capsys.readouterr().err
+        assert code == 2
+        assert sweep_err == train_err
+        assert sweep_err.startswith("numerical failure: training diverged at epoch 0")
+        assert sorted(p.name for p in out.iterdir()) == ["report_r0.1_s0.json"]
+        assert {int(p.name) for p in cells_ran_in.iterdir()} - {os.getpid()}
+
+    def test_dead_worker_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        use_cpus(monkeypatch, 2, blas_threads="1")
+        edges, attrs = gen_dataset(tmp_path)
+
+        test_process = os.getpid()
+
+        def killed(*args):
+            if os.getpid() == test_process:
+                raise AssertionError("the cell ran in the test process, not in a worker")
+            os._exit(9)
+
+        monkeypatch.setattr(fairspect.cli, "_run_single_training", killed)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
+                     "--out_dir", str(out), "--missing_rates", "0.1", "--seeds", "0,1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: a sweep worker process died")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
+class TestSweepWorkerCount:
+    def test_unset_blas_threads_give_one_worker(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        assert sweep_worker_count(6) == 1
+
+    @pytest.mark.parametrize("value,workers", [
+        ("1", 4), ("2", 2), ("3", 1), ("8", 1), ("0", 1), ("-2", 1), ("two", 1), ("", 1),
+    ])
+    def test_cpus_per_blas_threads(self, monkeypatch, value, workers):
+        use_cpus(monkeypatch, 4, blas_threads=value)
+        assert sweep_worker_count(6) == workers
+
+    def test_first_variable_with_a_positive_integer_counts(self, monkeypatch):
+        use_cpus(monkeypatch, 4, blas_threads="0")
+        monkeypatch.setenv("MKL_NUM_THREADS", "many")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert sweep_worker_count(6) == 2
+
+    def test_never_more_workers_than_cells(self, monkeypatch):
+        use_cpus(monkeypatch, 4, blas_threads="1")
+        assert [sweep_worker_count(cells) for cells in (0, 1, 3, 4, 5)] == [1, 1, 3, 4, 4]
+
+    def test_cpu_count_where_affinity_is_unavailable(self, monkeypatch):
+        use_cpus(monkeypatch, 4, blas_threads="2")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert sweep_worker_count(6) == 3
+
+
+@pytest.mark.parametrize("error", [
+    TrainingDivergedError(5),
+    ConvergenceError("2 of 4 eigenpairs above tolerance", np.array([3e-9, 1e-12])),
+    EdgeListFormatError("line 3: expected two node ids"),
+    AttributeTableError("row 2: non-finite feature"),
+    DegenerateVectorError("zero-norm vector"),
+    UndefinedMetricError("empty evaluation set"),
+], ids=lambda error: type(error).__name__)
+def test_errors_survive_pickling(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    assert copy.args == error.args
+    assert vars(copy).keys() == vars(error).keys()
+    for name, value in vars(error).items():
+        assert np.array_equal(getattr(copy, name), value)
 
 
 class TestVerify:
@@ -235,6 +368,45 @@ class TestConfigAndExitCodes:
         assert code == 1
         assert re.search(rf"error: config key '{key}' must be", capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("seeds", 5), ("seeds", [0, 1.5]), ("seeds", [True]), ("missing_rates", 0.1),
+        ("missing_rates", ["0.1"]), ("edges", 5), ("attributes", ["k3.csv"]),
+        ("out_dir", {"path": "run"}), ("dataset", 3), ("mask", False),
+    ])
+    def test_run_key_of_wrong_type_is_usage_error(self, tmp_path, capsys, key, value):
+        edges, attrs = write_k3(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"edges": str(edges), "attributes": str(attrs),
+                                      "out_dir": str(tmp_path / "run"), "epochs": 2,
+                                      key: value}))
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert re.search(rf"error: config key '{key}' must be", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_config_file_grids_and_floats_match_flags(self, tmp_path):
+        edges, attrs = gen_dataset(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "edges": str(edges), "attributes": str(attrs), "epochs": 3, "m": 3,
+            "hidden": 8, "d_m": 4, "lr": 1, "weight_decay": 0,
+            "missing_rates": [0, 0.25], "seeds": [0, 1], "out_dir": str(tmp_path / "file"),
+        }))
+        assert main(["sweep", "--config", str(config)]) == 0
+        assert main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
+                     "--epochs", "3", "--m", "3", "--hidden", "8", "--d_m", "4",
+                     "--lr", "1", "--weight_decay", "0", "--missing_rates", "0,0.25",
+                     "--seeds", "0,1", "--out_dir", str(tmp_path / "flags")]) == 0
+        reports = sorted(p.name for p in (tmp_path / "flags").glob("report_*.json"))
+        assert reports == sorted(p.name for p in (tmp_path / "file").glob("report_*.json"))
+        assert len(reports) == 4
+        for name in reports:
+            assert (without_runtime(tmp_path / "file" / name)
+                    == without_runtime(tmp_path / "flags" / name))
+        assert ((tmp_path / "file" / "aggregate.csv").read_bytes()
+                == (tmp_path / "flags" / "aggregate.csv").read_bytes())
+        report = json.loads((tmp_path / "file" / "report_r0_s0.json").read_text())
+        assert report["config"]["lr"] == 1.0 and isinstance(report["config"]["lr"], float)
 
     def test_config_values_of_admitted_types_train(self, tmp_path):
         edges, attrs = gen_dataset(tmp_path)
