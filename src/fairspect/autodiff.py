@@ -179,18 +179,6 @@ def concat_cols(a, b) -> Tensor:
     return _make(np.concatenate([a.data, b.data], axis=1), (a, b), grad_fn)
 
 
-def take_rows(a, indices) -> Tensor:
-    a = _ensure(a)
-    indices = np.asarray(indices, dtype=np.int64)
-
-    def grad_fn(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, indices, g)
-        _accumulate(a, full)
-
-    return _make(a.data[indices], (a,), grad_fn)
-
-
 def relu(a) -> Tensor:
     a = _ensure(a)
     mask = a.data > 0

@@ -128,10 +128,10 @@ def _config_value(name: str, value):
         if train_field:
             return _coerced(kind, value)
         if isinstance(value, str):
-            return value
+            return value if kind is str else _grid(kind, value)
         if kind is not str and isinstance(value, list):
             return [_coerced(kind, item) for item in value]
-    except (TypeError, OverflowError):  # float() of an integer beyond float range
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         pass
     raise ValueError(f"config key {name!r} must be {expected}, got {json.dumps(value)}")
 
@@ -142,12 +142,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _grid(kind: type, text: str) -> list:
+    """A comma-separated string as a list of ``kind``; ValueError on a bad item or no items."""
+    items = [kind(x) for x in text.split(",") if x.strip()]
+    if not items:
+        raise ValueError(text)
+    return items
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _grid_flag(kind: type, items: str):
+    """argparse ``type`` of a comma-separated flag: a bad value is an error naming the flag."""
+    def parse(text: str) -> list:
+        try:
+            return _grid(kind, text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {items}, got {text!r}")
+    return parse
 
 
 def _atomic_write_text(path: Path, text: str):
@@ -319,13 +329,13 @@ def cmd_gen(args) -> int:
     if args.p is not None:
         params["p"] = args.p
     if args.block_sizes:
-        params["block_sizes"] = _int_list(args.block_sizes)
+        params["block_sizes"] = args.block_sizes
     if args.p_in is not None:
         params["p_in"] = args.p_in
     if args.p_out is not None:
         params["p_out"] = args.p_out
     if args.sizes:
-        params["sizes"] = _int_list(args.sizes)
+        params["sizes"] = args.sizes
     spec = SyntheticSpec(
         kind=args.kind, n=args.n, params=params,
         sensitive_correlation=args.sensitive_correlation,
@@ -378,13 +388,7 @@ def cmd_sweep(args) -> int:
     if merged.get("mask"):
         raise ValueError("sweep masks by rate; a fixed mask file conflicts with the grid")
     rates = merged.get("missing_rates") or [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-    if isinstance(rates, str):
-        rates = _float_list(rates)
     seeds = merged.get("seeds") or [0]
-    if isinstance(seeds, str):
-        seeds = _int_list(seeds)
-    if not seeds:
-        raise ValueError("at least one seed is required")
     for rate in rates:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"missing rate {rate} outside [0, 1)")
@@ -554,10 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("erdos_renyi", "sbm", "disjoint_cliques"))
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--p", type=float, default=None)
-    gen.add_argument("--block_sizes", type=str, default=None)
+    gen.add_argument("--block_sizes", type=_grid_flag(int, "integers"), default=None)
     gen.add_argument("--p_in", type=float, default=None)
     gen.add_argument("--p_out", type=float, default=None)
-    gen.add_argument("--sizes", type=str, default=None)
+    gen.add_argument("--sizes", type=_grid_flag(int, "integers"), default=None)
     gen.add_argument("--sensitive_correlation", type=float, default=1.0)
     gen.add_argument("--label_flip", type=float, default=0.0)
     gen.add_argument("--noise_scale", type=float, default=0.1)
@@ -589,8 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--mask", type=str, default=None)
     sw.add_argument("--dataset", type=str, default=None)
     sw.add_argument("--out_dir", type=str, default=None)
-    sw.add_argument("--missing_rates", type=str, default=None)
-    sw.add_argument("--seeds", type=str, default=None)
+    sw.add_argument("--missing_rates", type=_grid_flag(float, "numbers"), default=None)
+    sw.add_argument("--seeds", type=_grid_flag(int, "integers"), default=None)
     _add_train_flags(sw)
     sw.set_defaults(func=cmd_sweep)
 

@@ -2,8 +2,8 @@
 and the sinusoidal embedding of eigenvalues.
 
 All operations are pure; cosine alignment is invariant to positive rescaling
-of either argument, which is what makes the hop-wise renormalisation in
-``propagate_k_hop`` safe for alignment work.
+of either argument, which is what lets ``limits`` renormalise its propagated
+vector after every hop without changing the alignments it measures.
 """
 
 from __future__ import annotations
@@ -48,12 +48,10 @@ def zero_pad(attrs: AttributeMatrix, sensitive: SensitiveColumn) -> PaddedAttrib
     return PaddedAttributes(values=values, padded_mask=mask)
 
 
-def propagate_k_hop(graph: Graph, matrix: np.ndarray, k: int, normalize: bool = False) -> np.ndarray:
+def propagate_k_hop(graph: Graph, matrix: np.ndarray, k: int) -> np.ndarray:
     """Apply the adjacency k times: returns A^k @ matrix.
 
-    With ``normalize`` each column is rescaled to unit norm after every hop,
-    which leaves cosine alignments unchanged while avoiding overflow for
-    large k. Accepts a vector or an (n, d) matrix.
+    Accepts a vector or an (n, d) matrix.
     """
     if k < 0:
         raise ValueError("hop count must be nonnegative")
@@ -67,10 +65,6 @@ def propagate_k_hop(graph: Graph, matrix: np.ndarray, k: int, normalize: bool = 
     A = graph.to_scipy()
     for _ in range(k):
         out = A @ out
-        if normalize:
-            norms = np.linalg.norm(out, axis=0)
-            nonzero = norms > 0
-            out[:, nonzero] /= norms[nonzero]
     return out[:, 0] if squeeze else out
 
 

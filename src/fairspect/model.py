@@ -19,7 +19,7 @@ All tensors are float64 and every source of randomness is seeded, so a given
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -193,15 +193,15 @@ def transformer_block(e_pe: Tensor, params: dict[str, Tensor]) -> Tensor:
     return hidden @ params["ffn_w2"] + params["ffn_b2"] + e_mha
 
 
-def spectral_filter(p_st: Tensor, gates: Tensor, h_padded: Tensor) -> Tensor:
-    """P diag(g) P^T H: one scalar multiplier per retained eigen-direction."""
-    return p_st @ (gates * (ad.transpose(p_st) @ h_padded))
+def spectral_filter(p_st: Tensor, gates: Tensor, coeffs: Tensor) -> Tensor:
+    """P diag(g) C, with C = P^T H precomputed: one multiplier per eigen-direction."""
+    return p_st @ (gates * coeffs)
 
 
 def fuse_layer(
     p_st: Tensor,
     e_gt: Tensor,
-    h_padded: Tensor,
+    coeffs: Tensor,
     h_prev: Tensor,
     gate_w: Tensor,
     gate_b: Tensor,
@@ -214,19 +214,33 @@ def fuse_layer(
     attributes are concatenated and pushed through ReLU(W).
     """
     gates = e_gt @ gate_w + gate_b
-    filtered = spectral_filter(p_st, gates, h_padded)
+    filtered = spectral_filter(p_st, gates, coeffs)
     return ad.relu(ad.concat_cols(h_prev, filtered) @ fuse_w)
 
 
 @dataclass
 class PreparedData:
-    """Everything ``forward``/``train`` need, computed once per run."""
+    """Everything ``forward``/``train`` need, computed once per run.
+
+    ``coeffs`` is P^T H (m, d); None without spectral fusion.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     split: Split
     trunc: SpectralTruncation | None
+    coeffs: np.ndarray | None
     khop: np.ndarray | None
+
+    def take(self, rows) -> PreparedData:
+        """The inputs of the nodes ``rows``. Every row shares ``coeffs`` and the
+        eigenvalues, so ``forward(data.take(rows))`` is ``forward(data)`` on those
+        rows. ``split`` still indexes the full graph."""
+        trunc = None if self.trunc is None else SpectralTruncation(
+            self.trunc.eigenvalues, self.trunc.eigenvectors[rows])
+        khop = None if self.khop is None else self.khop[rows]
+        return replace(self, features=self.features[rows], labels=self.labels[rows],
+                       trunc=trunc, khop=khop)
 
 
 def structural_truncation(graph: Graph, config: TrainConfig) -> SpectralTruncation | None:
@@ -261,23 +275,25 @@ def prepare_inputs(
     if config.spectral_fusion:
         if trunc is None:
             trunc = structural_truncation(graph, config)
+        coeffs = trunc.eigenvectors.T @ padded
         khop = None
     else:
-        trunc = None
-        khop = propagate_k_hop(graph, padded, config.k_hops, normalize=False)
-    return PreparedData(features=padded, labels=labels, split=split, trunc=trunc, khop=khop)
+        trunc = coeffs = None
+        khop = propagate_k_hop(graph, padded, config.k_hops)
+    return PreparedData(features=padded, labels=labels, split=split, trunc=trunc,
+                        coeffs=coeffs, khop=khop)
 
 
 def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig) -> Tensor:
-    """Logits for every node, (n, 2)."""
-    h_padded = Tensor(data.features)
-    h = h_padded
+    """Logits for every node of ``data``, (n, 2)."""
+    h = Tensor(data.features)
     if config.spectral_fusion:
         e_pe = Tensor(eigenvalue_position_encoding(data.trunc.eigenvalues, config.d_m))
         e_gt = transformer_block(e_pe, params)
         p_st = Tensor(data.trunc.eigenvectors)
+        coeffs = Tensor(data.coeffs)
         for layer in range(config.layers):
-            h = fuse_layer(p_st, e_gt, h_padded, h, params[f"gate_w_{layer}"],
+            h = fuse_layer(p_st, e_gt, coeffs, h, params[f"gate_w_{layer}"],
                            params[f"gate_b_{layer}"], params[f"fuse_w_{layer}"])
     else:
         hop_encoded = Tensor(data.khop)
@@ -288,8 +304,9 @@ def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig) 
 
 def loss_on(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
             indices: np.ndarray) -> Tensor:
-    logits = forward(data, params, config)
-    return ad.mean_cross_entropy(ad.take_rows(logits, indices), data.labels[indices])
+    """Mean cross entropy over the nodes ``indices``, from a forward over those rows."""
+    rows = data.take(indices)
+    return ad.mean_cross_entropy(forward(rows, params, config), rows.labels)
 
 
 def gradients(params: dict[str, Tensor], data: PreparedData, config: TrainConfig,
@@ -343,36 +360,32 @@ def predict(params: dict[str, Tensor], data: PreparedData, config: TrainConfig) 
 
 
 def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], dict]:
-    """Full-graph Adam training with best-validation-accuracy model selection.
+    """Adam training with best-validation-accuracy model selection.
 
-    History holds the per-epoch train loss and validation accuracy. The
-    returned parameters are the snapshot from the first epoch achieving the
-    best validation accuracy. Raises TrainingDivergedError on non-finite loss.
-
-    Each step runs one forward: the logits after step e score step e on the
-    validation nodes and give step e + 1 its loss.
+    Each step takes the loss on the train rows, steps, then scores the
+    validation rows; no forward covers the rest of the graph. History holds
+    the per-epoch train loss and validation accuracy. The returned parameters
+    are the snapshot from the first epoch achieving the best validation
+    accuracy. Raises TrainingDivergedError on non-finite loss.
     """
     config.validate()
     params = init_params(config, data.features.shape[1])
     optimizer = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
     history = {"train_loss": [], "val_acc": []}
-    train_idx, val_idx = data.split.train, data.split.val
-    select = len(val_idx) > 0  # no validation signal -> keep final params
+    train_rows, val_rows = data.take(data.split.train), data.take(data.split.val)
+    select = len(val_rows.labels) > 0  # no validation signal -> keep final params
     best_acc = -1.0
     best_values = {k: t.data.copy() for k, t in params.items()}
-    logits = forward(data, params, config)
     for epoch in range(config.epochs):
-        loss = ad.mean_cross_entropy(ad.take_rows(logits, train_idx), data.labels[train_idx])
+        loss = ad.mean_cross_entropy(forward(train_rows, params, config), train_rows.labels)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(epoch)
         ad.zero_grads(params.values())
         loss.backward()
         optimizer.step()
-        logits = forward(data, params, config)
         if select:
-            val_pred = argmax_predict(logits.data[val_idx])
-            val_acc = float(np.mean(val_pred == data.labels[val_idx]))
+            val_acc = float(np.mean(predict(params, val_rows, config) == val_rows.labels))
         else:
             val_acc = float("nan")
         history["train_loss"].append(loss_value)

@@ -84,10 +84,6 @@ class TestStructuralOps:
     def test_concat_cols(self):
         check_op(ad.concat_cols, (3, 2), (3, 4))
 
-    def test_take_rows(self):
-        idx = np.array([0, 2, 2, 1])
-        check_op(lambda a: ad.take_rows(a, idx), (4, 3))
-
     def test_reused_node_accumulates(self):
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         y = (x * x) + (x * 3.0)  # dy/dx = 2x + 3

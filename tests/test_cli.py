@@ -373,6 +373,7 @@ class TestConfigAndExitCodes:
         ("seeds", 5), ("seeds", [0, 1.5]), ("seeds", [True]), ("missing_rates", 0.1),
         ("missing_rates", ["0.1"]), ("edges", 5), ("attributes", ["k3.csv"]),
         ("out_dir", {"path": "run"}), ("dataset", 3), ("mask", False),
+        ("missing_rates", "x"), ("seeds", "0,a"),
     ])
     def test_run_key_of_wrong_type_is_usage_error(self, tmp_path, capsys, key, value):
         edges, attrs = write_k3(tmp_path)
@@ -382,6 +383,16 @@ class TestConfigAndExitCodes:
                                       key: value}))
         assert main(["sweep", "--config", str(config)]) == 1
         assert re.search(rf"error: config key '{key}' must be", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--seeds", "a,b"), ("--missing_rates", "0.1,x")])
+    def test_malformed_grid_flag_is_usage_error_naming_it(self, tmp_path, capsys, flag, value):
+        edges, attrs = write_k3(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
+                  "--out_dir", str(tmp_path / "run"), flag, value])
+        assert excinfo.value.code == 1
+        assert f"error: argument {flag}: expected comma-separated" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_config_file_grids_and_floats_match_flags(self, tmp_path):

@@ -123,32 +123,33 @@ class TestSpectralFilter:
         oracle = dense_eigendecomposition(graph)
         rng = np.random.default_rng(6)
         h = rng.standard_normal((5, 3))
-        out = spectral_filter(Tensor(oracle.eigenvectors), Tensor(np.ones((5, 1))), Tensor(h))
+        p = oracle.eigenvectors
+        out = spectral_filter(Tensor(p), Tensor(np.ones((5, 1))), Tensor(p.T @ h))
         assert np.allclose(out.data, h, atol=1e-10)
 
     def test_zero_gate_kills_filtered_path(self):
         rng = np.random.default_rng(7)
-        p = Tensor(rng.standard_normal((6, 2)))
-        h = Tensor(rng.standard_normal((6, 3)))
-        out = spectral_filter(p, Tensor(np.zeros((2, 1))), h)
+        p = rng.standard_normal((6, 2))
+        h = rng.standard_normal((6, 3))
+        out = spectral_filter(Tensor(p), Tensor(np.zeros((2, 1))), Tensor(p.T @ h))
         assert np.allclose(out.data, 0.0)
 
     def test_triangle_hand_value(self, k3):
         oracle = dense_eigendecomposition(k3)
-        p1 = Tensor(oracle.eigenvectors[:, :1])
-        h = Tensor(np.array([[1.0], [0.0], [1.0]]))
-        out = spectral_filter(p1, Tensor(np.ones((1, 1))), h)
+        p1 = oracle.eigenvectors[:, :1]
+        h = np.array([[1.0], [0.0], [1.0]])
+        out = spectral_filter(Tensor(p1), Tensor(np.ones((1, 1))), Tensor(p1.T @ h))
         assert np.allclose(out.data[:, 0], 2.0 / 3.0, atol=1e-12)
 
     def test_fuse_layer_depends_only_on_prev_when_gate_zero(self):
         rng = np.random.default_rng(8)
-        p = Tensor(rng.standard_normal((6, 2)))
+        p = rng.standard_normal((6, 2))
         e_gt = Tensor(rng.standard_normal((2, 4)))
         h_prev = Tensor(rng.standard_normal((6, 3)))
         fuse_w = Tensor(rng.standard_normal((6, 5)))
-        out_a = fuse_layer(p, e_gt, Tensor(rng.standard_normal((6, 3))), h_prev,
+        out_a = fuse_layer(Tensor(p), e_gt, Tensor(p.T @ rng.standard_normal((6, 3))), h_prev,
                            Tensor(np.zeros((4, 1))), Tensor(np.zeros(1)), fuse_w)
-        out_b = fuse_layer(p, e_gt, Tensor(rng.standard_normal((6, 3))), h_prev,
+        out_b = fuse_layer(Tensor(p), e_gt, Tensor(p.T @ rng.standard_normal((6, 3))), h_prev,
                            Tensor(np.zeros((4, 1))), Tensor(np.zeros(1)), fuse_w)
         assert np.allclose(out_a.data, out_b.data, atol=1e-12)
 
@@ -176,6 +177,7 @@ class TestForward:
                 eigenvalues=data.trunc.eigenvalues.copy(),
                 eigenvectors=data.trunc.eigenvectors[perm].copy(),
             ),
+            coeffs=data.coeffs,  # P^T H is invariant under a node permutation
             khop=None,
         )
         logits_perm = forward(permuted, params, config).data
@@ -186,6 +188,17 @@ class TestForward:
             data, config = desk_fixture(spectral_fusion=spectral)
             params = init_params(config, data.features.shape[1])
             assert np.all(np.isfinite(forward(data, params, config).data))
+
+    @pytest.mark.parametrize("spectral_fusion", [True, False])
+    def test_forward_on_taken_rows_matches_full_forward(self, spectral_fusion):
+        data, config = desk_fixture(spectral_fusion=spectral_fusion)
+        params = init_params(config, data.features.shape[1])
+        full = forward(data, params, config).data
+        for rows in (np.array([4, 0, 2]), np.array([5]), np.arange(6)):
+            taken = data.take(rows)
+            assert np.array_equal(taken.labels, data.labels[rows])
+            assert np.allclose(forward(taken, params, config).data, full[rows],
+                               rtol=1e-12, atol=1e-12)
 
     def test_predict_tie_rules(self):
         assert argmax_predict(np.array([[0.2, 0.9]])).tolist() == [1]
@@ -233,10 +246,11 @@ class TestGradients:
         split = Split(train=np.arange(4), val=np.empty(0, dtype=np.int64),
                       test=np.empty(0, dtype=np.int64))
         trunc = dense_eigendecomposition(graph)
+        p = trunc.eigenvectors[:, :2].copy()
         data = PreparedData(features=features, labels=labels, split=split,
                             trunc=type(trunc)(eigenvalues=trunc.eigenvalues[:2].copy(),
-                                              eigenvectors=trunc.eigenvectors[:, :2].copy()),
-                            khop=None)
+                                              eigenvectors=p),
+                            coeffs=p.T @ features, khop=None)
         params = init_params(config, 1)
         for name, tensor in params.items():
             if name.startswith(("attn_", "ffn_", "gate_")):
@@ -306,19 +320,21 @@ def two_forward_train(data, config):
 
 
 class TestTrain:
-    def test_one_forward_per_step(self, monkeypatch):
+    def test_each_step_forwards_only_train_and_val_rows(self, monkeypatch):
         data, config = separable_toy()
         config.epochs = 20
-        calls = []
+        rows = []
         original = model.forward
 
-        def counting_forward(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting_forward(data, *args, **kwargs):
+            rows.append(data.features.shape[0])
+            return original(data, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward", counting_forward)
         train(data, config)
-        assert len(calls) == config.epochs + 1
+        n_train, n_val = len(data.split.train), len(data.split.val)
+        assert 0 < n_train + n_val < len(data.labels)
+        assert rows == [n_train, n_val] * config.epochs
 
     @pytest.mark.parametrize("with_val", [True, False])
     @pytest.mark.parametrize("spectral_fusion", [True, False])
@@ -378,9 +394,10 @@ class TestTrain:
         graph, attrs, sens, labels = gen_synthetic(spec)
         config = TrainConfig(m=2, hidden=4, d_m=4, heads=1, epochs=5, seed=0)
         split = make_split(6, None, 0)
-        data = prepare_inputs(graph, attrs, sens, labels, split, config)
-        data.features = np.full_like(data.features, 1e308)  # overflow in matmul
-        with np.errstate(over="ignore", invalid="ignore"):
+        attrs = type(attrs)(features=np.full_like(attrs.features, 1e308),
+                            sensitive_index=attrs.sensitive_index)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow in matmul
+            data = prepare_inputs(graph, attrs, sens, labels, split, config)
             with pytest.raises(TrainingDivergedError) as excinfo:
                 train(data, config)
         assert excinfo.value.epoch == 0
