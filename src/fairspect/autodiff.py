@@ -179,14 +179,37 @@ def concat_cols(a, b) -> Tensor:
     return _make(np.concatenate([a.data, b.data], axis=1), (a, b), grad_fn)
 
 
-def relu(a) -> Tensor:
-    a = _ensure(a)
-    mask = a.data > 0
+def concat_rows(a, b) -> Tensor:
+    a, b = _ensure(a), _ensure(b)
+    split = a.data.shape[0]
 
     def grad_fn(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g[:split])
+        _accumulate(b, g[split:])
 
-    return _make(a.data * mask, (a,), grad_fn)
+    return _make(np.concatenate([a.data, b.data], axis=0), (a, b), grad_fn)
+
+
+def slice_rows(a, start: int, stop: int | None = None) -> Tensor:
+    """Rows ``start:stop`` of ``a``; the adjoint is zero outside them."""
+    a = _ensure(a)
+
+    def grad_fn(g):
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        _accumulate(a, full)
+
+    return _make(a.data[start:stop], (a,), grad_fn)
+
+
+def relu(a) -> Tensor:
+    a = _ensure(a)
+
+    def grad_fn(g):
+        # the mask is built only when a gradient is asked for
+        _accumulate(a, g * (a.data > 0))
+
+    return _make(np.maximum(a.data, 0.0), (a,), grad_fn)
 
 
 def gelu(a) -> Tensor:
@@ -242,10 +265,10 @@ def mean_cross_entropy(logits, labels) -> Tensor:
     if logits.data.shape[0] != n:
         raise ValueError("one label per logits row required")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    neg_log_probs = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) - shifted
-    losses = neg_log_probs[np.arange(n), labels]
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    sums = exp.sum(axis=-1, keepdims=True)
+    losses = np.log(sums[:, 0]) - shifted[np.arange(n), labels]
+    probs = exp / sums
 
     def grad_fn(g):
         d = probs.copy()

@@ -245,10 +245,12 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
     started = time.perf_counter()
     data = prepare_inputs(graph, attrs, run_sensitive, labels, split, config, trunc=trunc)
     params, _history = train(data, config)
-    yhat = predict(params, data, config)
+    test = split.test
+    # the report scores the test nodes only, so only their rows are predicted
+    yhat = predict(params, data.take(test), config)
     runtime = time.perf_counter() - started
     report = build_report(
-        yhat, labels, sensitive.values, split.test,
+        yhat, labels[test], sensitive.values[test], np.arange(len(test)),
         dataset=dataset, missing_rate=report_rate, seed=config.seed,
         config=config.as_dict(), runtime_s=runtime,
     )
@@ -296,13 +298,24 @@ def sweep_worker_count(cells: int) -> int:
     return max(1, min(cells, cpus // blas))
 
 
+def _cancel_later(futures: list, index: int, future):
+    """Done-callback of sweep cell ``index``: if it failed, cancel the cells after it.
+
+    A cell that already started cannot be cancelled and runs to its end.
+    """
+    if not future.cancelled() and future.exception() is not None:
+        for later in futures[index + 1:]:
+            later.cancel()
+
+
 @contextlib.contextmanager
 def _cell_reports(run_cell, configs: list, workers: int):
     """Yield the reports of ``run_cell`` over ``configs``, from ``workers`` processes.
 
     Reports come in grid order either way. The first cell to fail, in grid
-    order, raises its own exception where its report is read; cells not yet
-    started are cancelled when the block exits.
+    order, raises its own exception where its report is read. In the pool, a
+    cell that fails cancels every later cell not yet started, and the cells
+    still waiting are cancelled when the block exits.
     """
     if workers == 1:
         yield map(run_cell, configs)
@@ -317,7 +330,10 @@ def _cell_reports(run_cell, configs: list, workers: int):
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                initializer=_adopt_cell, initargs=(run_cell,))
     try:
-        yield pool.map(_run_adopted_cell, configs)
+        futures = [pool.submit(_run_adopted_cell, config) for config in configs]
+        for i, future in enumerate(futures):
+            future.add_done_callback(functools.partial(_cancel_later, futures, i))
+        yield (future.result() for future in futures)
     except BrokenProcessPool as exc:
         raise WorkerDiedError(f"a sweep worker process died: {exc}") from None
     finally:

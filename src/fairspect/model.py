@@ -7,6 +7,12 @@ Architecture, one forward pass:
     scalar gates -> H_train = P diag(g) P^T H_padded -> ReLU((H_prev || H_train) W)
     -> ... -> linear 2-class head.
 
+Each fusion layer folds the filter into its weight: with C = P^T H_padded
+precomputed, (H_prev || P diag(g) C) W = (H_prev || P) (W_upper ; diag(g) C W_lower).
+That is the same function as the line above, computed as one product over
+[H_prev | P] whose (rows, d) filtered array is never built; only the rounding
+of the sums differs.
+
 An ablation mode (``spectral_fusion=False``) swaps the eigenbasis filter for a
 plain k-hop adjacency propagation of the padded attributes, keeping the rest
 of the network identical; it exists so the contribution of the truncation can
@@ -194,7 +200,10 @@ def transformer_block(e_pe: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def spectral_filter(p_st: Tensor, gates: Tensor, coeffs: Tensor) -> Tensor:
-    """P diag(g) C, with C = P^T H precomputed: one multiplier per eigen-direction."""
+    """P diag(g) C, with C = P^T H precomputed: one multiplier per eigen-direction.
+
+    ``fuse_layer`` folds this product into its weight rather than building it.
+    """
     return p_st @ (gates * coeffs)
 
 
@@ -207,15 +216,17 @@ def fuse_layer(
     gate_b: Tensor,
     fuse_w: Tensor,
 ) -> Tensor:
-    """One fusion step: spectral filter of the padded attributes, then mix.
+    """One fusion step: ReLU((h_prev || P diag(g) C) W), with the filter folded into W.
 
     The transformed eigen-tokens collapse to one scalar gate per token via the
-    trainable gate map; the previous representation and the filtered
-    attributes are concatenated and pushed through ReLU(W).
+    trainable gate map. W splits at the width of ``h_prev`` into W_upper and
+    W_lower, and the step is the one product (h_prev || P) (W_upper ; diag(g) C W_lower).
     """
     gates = e_gt @ gate_w + gate_b
-    filtered = spectral_filter(p_st, gates, coeffs)
-    return ad.relu(ad.concat_cols(h_prev, filtered) @ fuse_w)
+    width = h_prev.data.shape[1]
+    folded = ad.concat_rows(ad.slice_rows(fuse_w, 0, width),
+                            (gates * coeffs) @ ad.slice_rows(fuse_w, width))
+    return ad.relu(ad.concat_cols(h_prev, p_st) @ folded)
 
 
 @dataclass

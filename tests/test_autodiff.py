@@ -84,12 +84,57 @@ class TestStructuralOps:
     def test_concat_cols(self):
         check_op(ad.concat_cols, (3, 2), (3, 4))
 
+    def test_concat_rows(self):
+        check_op(ad.concat_rows, (2, 3), (4, 3))
+
+    @pytest.mark.parametrize("start,stop", [(0, 2), (2, None), (1, 4)])
+    def test_slice_rows(self, start, stop):
+        check_op(lambda a: ad.slice_rows(a, start, stop), (5, 3))
+
+    def test_slices_of_one_tensor_accumulate(self):
+        check_op(lambda a, b: ad.concat_rows(ad.slice_rows(a, 0, 2),
+                                             ad.slice_rows(a, 2) @ b), (5, 3), (3, 3))
+
     def test_reused_node_accumulates(self):
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         y = (x * x) + (x * 3.0)  # dy/dx = 2x + 3
         out = y @ Tensor(np.ones((2, 1)))
         out.backward()
         assert np.allclose(x.grad, 2 * x.data + 3.0)
+
+
+class TestAgainstPlainFormulas:
+    """relu and cross entropy agree exactly with their textbook formulas."""
+
+    def test_relu_values_and_gradient(self):
+        x = np.array([[-2.0, -0.0, 0.0, 1e-300], [3.5, -1e-300, 0.0, -4.0]])
+        weights = np.arange(1.0, 9.0).reshape(2, 4)
+        a = Tensor(x, requires_grad=True)
+        out = ad.relu(a)
+        (ad.transpose((out * Tensor(weights)) @ Tensor(np.ones((4, 1))))
+         @ Tensor(np.ones((2, 1)))).backward()
+        assert np.array_equal(out.data, x * (x > 0))
+        assert np.array_equal(a.grad, weights * (x > 0))
+        assert a.grad[0, 1] == a.grad[0, 2] == a.grad[1, 2] == 0.0
+
+    def test_cross_entropy_values_and_gradient(self):
+        rng = np.random.default_rng(11)
+        logits = rng.standard_normal((7, 3))
+        logits[0] = 0.0  # a row of exact ties
+        logits[1, 2] = 0.0
+        labels = np.array([0, 2, 1, 1, 0, 2, 2])
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        neg_log_probs = np.log(np.exp(shifted).sum(axis=-1, keepdims=True)) - shifted
+        expected_loss = neg_log_probs[np.arange(7), labels].mean()
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[np.arange(7), labels] -= 1.0
+        expected_grad = 3.0 * probs / 7
+        t = Tensor(logits, requires_grad=True)
+        loss = ad.mean_cross_entropy(t, labels)
+        (loss * 3.0).backward()
+        assert float(loss.data) == expected_loss
+        assert np.array_equal(t.grad, expected_grad)
 
 
 class TestCrossEntropy:

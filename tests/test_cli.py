@@ -46,6 +46,22 @@ def without_runtime(path):
     return re.sub(r'"runtime_s": [^,\n]+', '"runtime_s": 0', path.read_text())
 
 
+def poisoned_prepare(on_start):
+    """``prepare_inputs`` that calls ``on_start(config)``, then builds the inputs
+    of seed-1 cells from 1e308 attributes, so their training diverges at epoch 0."""
+    prepare = fairspect.cli.prepare_inputs
+
+    def poisoned(graph, attrs, *rest, **kwargs):
+        config = rest[3]
+        on_start(config)
+        if config.seed == 1:  # overflow in Pᵀ H and in the matmuls
+            attrs = type(attrs)(features=np.full_like(attrs.features, 1e308),
+                                sensitive_index=attrs.sensitive_index)
+        return prepare(graph, attrs, *rest, **kwargs)
+
+    return poisoned
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -184,16 +200,8 @@ class TestSweep:
         edges, attrs = gen_dataset(tmp_path)
         cells_ran_in = tmp_path / "pids"
         cells_ran_in.mkdir()
-        prepare = fairspect.cli.prepare_inputs
-
-        def poisoned(*args, **kwargs):
-            data = prepare(*args, **kwargs)
-            (cells_ran_in / str(os.getpid())).touch()
-            if args[5].seed == 1:  # the config
-                data.features = np.full_like(data.features, 1e308)  # overflow in matmul
-            return data
-
-        monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned)
+        monkeypatch.setattr(fairspect.cli, "prepare_inputs",
+                            poisoned_prepare(lambda config: (cells_ran_in / str(os.getpid())).touch()))
         common = ["--edges", str(edges), "--attributes", str(attrs), "--epochs", "10",
                   "--m", "3", "--hidden", "8", "--d_m", "4"]
         out = tmp_path / "sweep"
@@ -209,6 +217,26 @@ class TestSweep:
         assert sweep_err.startswith("numerical failure: training diverged at epoch 0")
         assert sorted(p.name for p in out.iterdir()) == ["report_r0.1_s0.json"]
         assert {int(p.name) for p in cells_ran_in.iterdir()} - {os.getpid()}
+
+    def test_failing_cell_cancels_later_cells_in_pool(self, tmp_path, capsys, monkeypatch):
+        use_cpus(monkeypatch, 2, blas_threads="1")
+        edges, attrs = gen_dataset(tmp_path)
+        started = tmp_path / "started"
+        started.mkdir()
+        monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned_prepare(
+            lambda config: (started / f"{config.missing_rate:g}_{config.seed}").touch()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
+                         "--epochs", "200", "--m", "3", "--hidden", "8", "--d_m", "4",
+                         "--out_dir", str(tmp_path / "sweep"),
+                         "--missing_rates", "0.1,0.3,0.5", "--seeds", "0,1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: training diverged at epoch 0")
+        cells = {p.name for p in started.iterdir()}
+        # the grid's first two cells run; without cancelling, all six did
+        assert {"0.1_0", "0.1_1"} <= cells
+        assert len(cells) < 6 and "0.5_1" not in cells
 
     def test_dead_worker_is_usage_error(self, tmp_path, capsys, monkeypatch):
         use_cpus(monkeypatch, 2, blas_threads="1")

@@ -10,6 +10,7 @@ from fairspect.graph import (
     AttributeTableError,
     EdgeListFormatError,
     SensitiveColumn,
+    Split,
     apply_missing_mask,
     from_edges,
     is_bipartite,
@@ -236,6 +237,27 @@ class TestMissingMask:
     def test_all_present_required_somewhere(self):
         with pytest.raises(ValueError, match="at least one"):
             SensitiveColumn(values=np.array([0, 1]), present=np.array([False, False]))
+
+
+class TestSplit:
+    @pytest.mark.parametrize("train,val,test", [
+        ([0, 1, 2], [2], [3]),       # shared between train and val
+        ([0, 1], [3], [1]),          # shared between train and test
+        ([0, 0, 1], [2], [3]),       # repeated inside one set
+        ([4], [5], [5]),             # shared between val and test
+    ])
+    def test_overlap_rejected(self, train, val, test):
+        with pytest.raises(ValueError, match="disjoint"):
+            Split(train=np.array(train), val=np.array(val), test=np.array(test))
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Split(train=np.array([0, -1]), val=np.array([2]), test=np.array([3]))
+
+    def test_disjoint_and_empty_sets_accepted(self):
+        empty = np.empty(0, dtype=np.int64)
+        Split(train=np.array([5, 0, 9]), val=np.array([1]), test=np.array([7, 2]))
+        Split(train=empty, val=empty.copy(), test=empty.copy())
 
 
 class TestMakeSplit:

@@ -154,6 +154,39 @@ class TestSpectralFilter:
         assert np.allclose(out_a.data, out_b.data, atol=1e-12)
 
 
+def unfolded_fuse_layer(p_st, e_gt, coeffs, h_prev, gate_w, gate_b, fuse_w):
+    """Reference fusion step: build the filtered attributes, then concatenate and mix."""
+    gates = e_gt @ gate_w + gate_b
+    return ad.relu(ad.concat_cols(h_prev, spectral_filter(p_st, gates, coeffs)) @ fuse_w)
+
+
+class TestFoldedFusion:
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_matches_unfolded_reference(self, layers, monkeypatch):
+        spec = SyntheticSpec(kind="sbm", n=40,
+                             params={"block_sizes": [20, 20], "p_in": 0.4, "p_out": 0.05},
+                             seed=4)
+        graph, attrs, sens, labels = gen_synthetic(spec)
+        sens = apply_missing_mask(sens, 0.3, seed=1)
+        config = TrainConfig(m=5, hidden=12, d_m=4, heads=2, layers=layers, seed=2)
+        data = prepare_inputs(graph, attrs, sens, labels, make_split(40, None, 0), config)
+        params = init_params(config, data.features.shape[1])
+        rows = np.arange(40)
+
+        def logits_and_grads():
+            logits = forward(data, params, config).data
+            return logits, gradients(params, data, config, rows)
+
+        logits, grads = logits_and_grads()
+        monkeypatch.setattr(model, "fuse_layer", unfolded_fuse_layer)
+        ref_logits, ref_grads = logits_and_grads()
+        assert np.abs(logits - ref_logits).max() <= 1e-12
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert np.any(ref_grads[name] != 0.0), name
+            assert np.abs(grad - ref_grads[name]).max() <= 1e-12, name
+
+
 class TestForward:
     def test_zero_classifier_gives_zero_logits_and_class_zero(self):
         data, config = desk_fixture()
