@@ -264,11 +264,20 @@ def mean_cross_entropy(logits, labels) -> Tensor:
         raise ValueError("cross entropy over an empty batch is undefined")
     if logits.data.shape[0] != n:
         raise ValueError("one label per logits row required")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    # class by class over the columns: a reduction along the short class axis
+    # costs far more than one pass per column, and below eight classes numpy
+    # sums that axis in this same order
+    columns = logits.data.T
+    top = columns[0]
+    for column in columns[1:]:
+        top = np.maximum(top, column)
+    shifted = logits.data - top[:, None]
     exp = np.exp(shifted)
-    sums = exp.sum(axis=-1, keepdims=True)
-    losses = np.log(sums[:, 0]) - shifted[np.arange(n), labels]
-    probs = exp / sums
+    sums = exp[:, 0]
+    for c in range(1, exp.shape[1]):
+        sums = sums + exp[:, c]
+    losses = np.log(sums) - shifted[np.arange(n), labels]
+    probs = exp / sums[:, None]
 
     def grad_fn(g):
         d = probs.copy()

@@ -298,14 +298,31 @@ def sweep_worker_count(cells: int) -> int:
     return max(1, min(cells, cpus // blas))
 
 
-def _cancel_later(futures: list, index: int, future):
-    """Done-callback of sweep cell ``index``: if it failed, cancel the cells after it.
+def _pooled_reports(pool, configs: list, workers: int):
+    """The reports of ``configs`` from ``pool``, in grid order.
 
-    A cell that already started cannot be cancelled and runs to its end.
+    At most ``workers`` cells are submitted at a time, so none waits in the
+    pool's queue, and none is submitted once a cell has failed: after a
+    failure only the cells already running are waited for. Submitting happens
+    here, on the thread that reads the reports.
     """
-    if not future.cancelled() and future.exception() is not None:
-        for later in futures[index + 1:]:
-            later.cancel()
+    from concurrent.futures import FIRST_COMPLETED, wait
+
+    futures: list = []
+    running: set = set()
+    failed = False
+    for index in range(len(configs)):
+        while True:
+            finished = {future for future in running if future.done()}
+            running -= finished
+            failed = failed or any(future.exception() is not None for future in finished)
+            while not failed and len(running) < workers and len(futures) < len(configs):
+                futures.append(pool.submit(_run_adopted_cell, configs[len(futures)]))
+                running.add(futures[-1])
+            if futures[index].done():
+                break
+            wait(running, return_when=FIRST_COMPLETED)
+        yield futures[index].result()
 
 
 @contextlib.contextmanager
@@ -313,9 +330,9 @@ def _cell_reports(run_cell, configs: list, workers: int):
     """Yield the reports of ``run_cell`` over ``configs``, from ``workers`` processes.
 
     Reports come in grid order either way. The first cell to fail, in grid
-    order, raises its own exception where its report is read. In the pool, a
-    cell that fails cancels every later cell not yet started, and the cells
-    still waiting are cancelled when the block exits.
+    order, raises its own exception where its report is read. In the pool, no
+    cell starts after a cell has failed, and the block's exit waits for the
+    cells still running.
     """
     if workers == 1:
         yield map(run_cell, configs)
@@ -330,10 +347,7 @@ def _cell_reports(run_cell, configs: list, workers: int):
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                initializer=_adopt_cell, initargs=(run_cell,))
     try:
-        futures = [pool.submit(_run_adopted_cell, config) for config in configs]
-        for i, future in enumerate(futures):
-            future.add_done_callback(functools.partial(_cancel_later, futures, i))
-        yield (future.result() for future in futures)
+        yield _pooled_reports(pool, configs, workers)
     except BrokenProcessPool as exc:
         raise WorkerDiedError(f"a sweep worker process died: {exc}") from None
     finally:

@@ -1,21 +1,28 @@
 """Node classifier: transformer over eigenvalue tokens fused with zero-padded
 attributes through a learned spectral filter, trained with Adam.
 
-Architecture, one forward pass:
+Architecture, in two stages:
 
-    eigenvalues -> sinusoidal tokens -> pre-norm transformer block -> per-layer
-    scalar gates -> H_train = P diag(g) P^T H_padded -> ReLU((H_prev || H_train) W)
-    -> ... -> linear 2-class head.
+    row-independent, once per set of parameters (``layer_weights``):
+        eigenvalues -> sinusoidal tokens -> pre-norm transformer block
+        -> per-layer scalar gates g -> one weight per layer,
+        W_folded = (W_upper ; diag(g) C W_lower), with C = P^T H_padded
+    per row, one loop shared by both encoders (``forward``):
+        h = H_padded; for each layer, h = ReLU((h || side) W_layer)
+        -> linear 2-class head.
 
-Each fusion layer folds the filter into its weight: with C = P^T H_padded
-precomputed, (H_prev || P diag(g) C) W = (H_prev || P) (W_upper ; diag(g) C W_lower).
-That is the same function as the line above, computed as one product over
-[H_prev | P] whose (rows, d) filtered array is never built; only the rounding
-of the sums differs.
+Here side is P (the top-m eigenvectors) and W_layer the folded weight. Since
+(H_prev || P diag(g) C) W = (H_prev || P) W_folded, that is the spectral
+filter H_train = P diag(g) P^T H_padded followed by ReLU((H_prev || H_train) W),
+computed without building the (rows, d) filtered array; only the rounding of
+the sums differs. No node enters the first stage, so ``train`` computes it
+once per optimiser step and shares it between that step's validation and the
+next step's loss.
 
 An ablation mode (``spectral_fusion=False``) swaps the eigenbasis filter for a
-plain k-hop adjacency propagation of the padded attributes, keeping the rest
-of the network identical; it exists so the contribution of the truncation can
+plain k-hop adjacency propagation of the padded attributes: side is the k-hop
+matrix and W_layer is ``fuse_w_<layer>`` itself, the rest of the network
+identical; it exists so the contribution of the truncation can
 be measured end to end.
 
 All tensors are float64 and every source of randomness is seeded, so a given
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -202,31 +210,10 @@ def transformer_block(e_pe: Tensor, params: dict[str, Tensor]) -> Tensor:
 def spectral_filter(p_st: Tensor, gates: Tensor, coeffs: Tensor) -> Tensor:
     """P diag(g) C, with C = P^T H precomputed: one multiplier per eigen-direction.
 
-    ``fuse_layer`` folds this product into its weight rather than building it.
+    ``layer_weights`` folds this product into the fusion weight rather than
+    building it; this unfolded form is the reference the tests compare against.
     """
     return p_st @ (gates * coeffs)
-
-
-def fuse_layer(
-    p_st: Tensor,
-    e_gt: Tensor,
-    coeffs: Tensor,
-    h_prev: Tensor,
-    gate_w: Tensor,
-    gate_b: Tensor,
-    fuse_w: Tensor,
-) -> Tensor:
-    """One fusion step: ReLU((h_prev || P diag(g) C) W), with the filter folded into W.
-
-    The transformed eigen-tokens collapse to one scalar gate per token via the
-    trainable gate map. W splits at the width of ``h_prev`` into W_upper and
-    W_lower, and the step is the one product (h_prev || P) (W_upper ; diag(g) C W_lower).
-    """
-    gates = e_gt @ gate_w + gate_b
-    width = h_prev.data.shape[1]
-    folded = ad.concat_rows(ad.slice_rows(fuse_w, 0, width),
-                            (gates * coeffs) @ ad.slice_rows(fuse_w, width))
-    return ad.relu(ad.concat_cols(h_prev, p_st) @ folded)
 
 
 @dataclass
@@ -242,6 +229,17 @@ class PreparedData:
     trunc: SpectralTruncation | None
     coeffs: np.ndarray | None
     khop: np.ndarray | None
+
+    @property
+    def side(self) -> np.ndarray:
+        """The per-node input every fusion layer appends to h: P, or the k-hop matrix."""
+        return self.khop if self.trunc is None else self.trunc.eigenvectors
+
+    @cached_property
+    def stacked(self) -> np.ndarray:
+        """[features | side], the first layer's input, built on first use only,
+        so rows that are never forwarded never get it."""
+        return np.concatenate([self.features, self.side], axis=1)
 
     def take(self, rows) -> PreparedData:
         """The inputs of the nodes ``rows``. Every row shares ``coeffs`` and the
@@ -295,21 +293,44 @@ def prepare_inputs(
                         coeffs=coeffs, khop=khop)
 
 
-def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig) -> Tensor:
-    """Logits for every node of ``data``, (n, 2)."""
-    h = Tensor(data.features)
-    if config.spectral_fusion:
-        e_pe = Tensor(eigenvalue_position_encoding(data.trunc.eigenvalues, config.d_m))
-        e_gt = transformer_block(e_pe, params)
-        p_st = Tensor(data.trunc.eigenvectors)
-        coeffs = Tensor(data.coeffs)
-        for layer in range(config.layers):
-            h = fuse_layer(p_st, e_gt, coeffs, h, params[f"gate_w_{layer}"],
-                           params[f"gate_b_{layer}"], params[f"fuse_w_{layer}"])
-    else:
-        hop_encoded = Tensor(data.khop)
-        for layer in range(config.layers):
-            h = ad.relu(ad.concat_cols(h, hop_encoded) @ params[f"fuse_w_{layer}"])
+def layer_weights(data: PreparedData, params: dict[str, Tensor],
+                  config: TrainConfig) -> list[Tensor]:
+    """One weight per fusion layer over [h_prev | side]; no node enters it.
+
+    Without spectral fusion that is ``fuse_w_<layer>`` itself. With it, the
+    eigen-tokens go through the transformer block, each layer's gate map turns
+    them into one gate per eigen-direction, and the filter is folded in:
+    (h_prev || P diag(g) C) W = (h_prev || P) (W_upper ; diag(g) C W_lower),
+    with W split at the width of h_prev.
+    """
+    fuse_ws = [params[f"fuse_w_{layer}"] for layer in range(config.layers)]
+    if not config.spectral_fusion:
+        return fuse_ws
+    e_pe = Tensor(eigenvalue_position_encoding(data.trunc.eigenvalues, config.d_m))
+    e_gt = transformer_block(e_pe, params)
+    coeffs = Tensor(data.coeffs)
+    weights = []
+    for layer, fuse_w in enumerate(fuse_ws):
+        gates = e_gt @ params[f"gate_w_{layer}"] + params[f"gate_b_{layer}"]
+        width = fuse_w.data.shape[0] - data.coeffs.shape[1]
+        weights.append(ad.concat_rows(ad.slice_rows(fuse_w, 0, width),
+                                      (gates * coeffs) @ ad.slice_rows(fuse_w, width)))
+    return weights
+
+
+def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
+            weights: list[Tensor] | None = None) -> Tensor:
+    """Logits for every node of ``data``, (n, 2).
+
+    ``weights`` are ``layer_weights(data, params, config)``, computed here when
+    not given; any ``data`` of the same run gives the same weights.
+    """
+    if weights is None:
+        weights = layer_weights(data, params, config)
+    side = Tensor(data.side)
+    h = Tensor(data.stacked)
+    for layer, weight in enumerate(weights):
+        h = ad.relu((h if layer == 0 else ad.concat_cols(h, side)) @ weight)
     return h @ params["cls_w"] + params["cls_b"]
 
 
@@ -335,7 +356,13 @@ def gradients(params: dict[str, Tensor], data: PreparedData, config: TrainConfig
 
 
 class Adam:
-    """Adam with L2-style weight decay folded into the gradient."""
+    """Adam with L2-style weight decay folded into the gradient.
+
+    The values of all tensors live in one flat vector, and each tensor's
+    ``data`` becomes a view into it, so a step is a few operations over that
+    vector rather than a loop of them per tensor. A tensor whose ``data`` is
+    later rebound to another array is no longer updated.
+    """
 
     def __init__(self, tensors: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -344,30 +371,54 @@ class Adam:
         self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
-        self.first = {k: np.zeros_like(t.data) for k, t in tensors.items()}
-        self.second = {k: np.zeros_like(t.data) for k, t in tensors.items()}
+        self.values = np.concatenate([t.data.ravel() for t in tensors.values()])
+        self.grad = np.empty_like(self.values)
+        self._grad_views = []
+        start = 0
+        for tensor in tensors.values():
+            stop = start + tensor.data.size
+            tensor.data = self.values[start:stop].reshape(tensor.data.shape)
+            self._grad_views.append(self.grad[start:stop].reshape(tensor.data.shape))
+            start = stop
+        self.first = np.zeros_like(self.values)
+        self.second = np.zeros_like(self.values)
 
     def step(self):
         self.step_count += 1
         correction1 = 1.0 - self.beta1 ** self.step_count
         correction2 = 1.0 - self.beta2 ** self.step_count
-        for name, tensor in self.tensors.items():
-            grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-            if self.weight_decay:
-                grad = grad + self.weight_decay * tensor.data
-            m = self.first[name] = self.beta1 * self.first[name] + (1 - self.beta1) * grad
-            v = self.second[name] = self.beta2 * self.second[name] + (1 - self.beta2) * grad * grad
-            tensor.data = tensor.data - self.lr * (m / correction1) / (
-                np.sqrt(v / correction2) + self.eps)
+        for tensor, view in zip(self.tensors.values(), self._grad_views):
+            view[...] = 0.0 if tensor.grad is None else tensor.grad
+        grad = self.grad
+        if self.weight_decay:
+            grad = grad + self.weight_decay * self.values
+        self.first = self.beta1 * self.first + (1 - self.beta1) * grad
+        self.second = self.beta2 * self.second + (1 - self.beta2) * grad * grad
+        self.values -= self.lr * (self.first / correction1) / (
+            np.sqrt(self.second / correction2) + self.eps)
 
 
 def argmax_predict(logits: np.ndarray) -> np.ndarray:
-    """Class per row; exact ties resolve to class 0 (first maximum)."""
-    return np.argmax(logits, axis=1).astype(np.int64)
+    """Class per row, ``np.argmax(logits, axis=1)``: exact ties resolve to the
+    first maximum, and a NaN counts as the maximum.
+
+    The classes are compared column by column; a reduction along the short
+    class axis costs far more than one pass per column.
+    """
+    best = logits[:, 0]
+    classes = np.zeros(len(logits), dtype=np.int64)
+    for c in range(1, logits.shape[1]):
+        column = logits[:, c]
+        # a NaN column beats any number; nothing beats a NaN
+        better = ~(column <= best) & (best == best)
+        classes = np.where(better, c, classes)
+        best = np.where(better, column, best)
+    return classes
 
 
-def predict(params: dict[str, Tensor], data: PreparedData, config: TrainConfig) -> np.ndarray:
-    return argmax_predict(forward(data, params, config).data)
+def predict(params: dict[str, Tensor], data: PreparedData, config: TrainConfig,
+            weights: list[Tensor] | None = None) -> np.ndarray:
+    return argmax_predict(forward(data, params, config, weights).data)
 
 
 def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], dict]:
@@ -387,16 +438,22 @@ def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], d
     select = len(val_rows.labels) > 0  # no validation signal -> keep final params
     best_acc = -1.0
     best_values = {k: t.data.copy() for k, t in params.items()}
+    weights = layer_weights(data, params, config)
     for epoch in range(config.epochs):
-        loss = ad.mean_cross_entropy(forward(train_rows, params, config), train_rows.labels)
+        loss = ad.mean_cross_entropy(forward(train_rows, params, config, weights),
+                                     train_rows.labels)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(epoch)
         ad.zero_grads(params.values())
         loss.backward()
         optimizer.step()
+        # the parameters only change here: one weight computation serves this
+        # step's validation and the next step's loss
+        weights = layer_weights(data, params, config)
         if select:
-            val_acc = float(np.mean(predict(params, val_rows, config) == val_rows.labels))
+            val_acc = float(np.mean(predict(params, val_rows, config, weights)
+                                    == val_rows.labels))
         else:
             val_acc = float("nan")
         history["train_loss"].append(loss_value)

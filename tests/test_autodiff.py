@@ -137,6 +137,61 @@ class TestAgainstPlainFormulas:
         assert np.array_equal(t.grad, expected_grad)
 
 
+def axis_cross_entropy(logits, labels, scale):
+    """Loss and gradient of ``scale * mean_cross_entropy``, reduced along the class axis."""
+    n = len(labels)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    sums = exp.sum(axis=-1, keepdims=True)
+    losses = np.log(sums[:, 0]) - shifted[np.arange(n), labels]
+    probs = exp / sums
+    d = probs.copy()
+    d[np.arange(n), labels] -= 1.0
+    return losses.mean(), scale * d / n
+
+
+def cross_entropy_cases(classes):
+    """(logits, labels) batches with exact ties, logits of +-700 and a single row."""
+    rng = np.random.default_rng(classes)
+    logits = rng.standard_normal((40, classes))
+    logits[0] = 0.0
+    logits[1, :2] = 1.5
+    logits[2] = 700.0
+    logits[3, 0], logits[4, -1] = 700.0, -700.0
+    logits[5] = -700.0
+    logits[6, 1:] = 700.0
+    labels = rng.integers(0, classes, size=40)
+    labels[:7] = np.arange(7) % classes
+    return [(logits, labels), (logits[3:4], labels[3:4]), (logits[7:8], labels[7:8])]
+
+
+class TestCrossEntropyByColumns:
+    """The loss reduces class by class over columns; below eight classes that is
+    the order numpy sums the class axis in, so the bits agree."""
+
+    def loss_and_grad(self, logits, labels, scale):
+        t = Tensor(logits, requires_grad=True)
+        loss = ad.mean_cross_entropy(t, labels)
+        (loss * scale).backward()
+        return float(loss.data), t.grad
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_bit_identical_to_axis_reduction(self, classes):
+        for logits, labels in cross_entropy_cases(classes):
+            loss, grad = self.loss_and_grad(logits, labels, 3.0)
+            ref_loss, ref_grad = axis_cross_entropy(logits, labels, 3.0)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+
+    def test_nine_classes_within_rounding(self):
+        # numpy sums nine entries pairwise, the columns sum in sequence
+        for logits, labels in cross_entropy_cases(9):
+            loss, grad = self.loss_and_grad(logits, labels, 1.0)
+            ref_loss, ref_grad = axis_cross_entropy(logits, labels, 1.0)
+            assert abs(loss - ref_loss) <= 1e-15 * abs(ref_loss)
+            assert np.abs(grad - ref_grad).max() <= 1e-15 * np.abs(ref_grad).max()
+
+
 class TestCrossEntropy:
     def test_matches_manual_log_softmax(self):
         rng = np.random.default_rng(8)

@@ -229,14 +229,13 @@ class TestSweep:
             code = main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
                          "--epochs", "200", "--m", "3", "--hidden", "8", "--d_m", "4",
                          "--out_dir", str(tmp_path / "sweep"),
-                         "--missing_rates", "0.1,0.3,0.5", "--seeds", "0,1"])
+                         "--missing_rates", "0.1,0.3,0.5", "--seeds", "1,0"])
         assert code == 2
         assert capsys.readouterr().err.startswith(
             "numerical failure: training diverged at epoch 0")
-        cells = {p.name for p in started.iterdir()}
-        # the grid's first two cells run; without cancelling, all six did
-        assert {"0.1_0", "0.1_1"} <= cells
-        assert len(cells) < 6 and "0.5_1" not in cells
+        # the first cell fails at epoch 0 while the second trains for 200
+        # epochs; no cell may start after the failure is seen
+        assert {p.name for p in started.iterdir()} == {"0.1_1", "0.1_0"}
 
     def test_dead_worker_is_usage_error(self, tmp_path, capsys, monkeypatch):
         use_cpus(monkeypatch, 2, blas_threads="1")

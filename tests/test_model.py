@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fairspect import autodiff as ad
 from fairspect import model
 from fairspect.autodiff import Tensor
+from fairspect.encoding import eigenvalue_position_encoding
 from fairspect.graph import Split, apply_missing_mask, make_split
 from fairspect.model import (
     Adam,
@@ -13,10 +16,10 @@ from fairspect.model import (
     argmax_predict,
     attention,
     attention_weights,
-    fuse_layer,
     forward,
     gradients,
     init_params,
+    layer_weights,
     load_checkpoint,
     loss_on,
     predict,
@@ -142,27 +145,37 @@ class TestSpectralFilter:
         assert np.allclose(out.data[:, 0], 2.0 / 3.0, atol=1e-12)
 
     def test_fuse_layer_depends_only_on_prev_when_gate_zero(self):
-        rng = np.random.default_rng(8)
-        p = rng.standard_normal((6, 2))
-        e_gt = Tensor(rng.standard_normal((2, 4)))
-        h_prev = Tensor(rng.standard_normal((6, 3)))
-        fuse_w = Tensor(rng.standard_normal((6, 5)))
-        out_a = fuse_layer(Tensor(p), e_gt, Tensor(p.T @ rng.standard_normal((6, 3))), h_prev,
-                           Tensor(np.zeros((4, 1))), Tensor(np.zeros(1)), fuse_w)
-        out_b = fuse_layer(Tensor(p), e_gt, Tensor(p.T @ rng.standard_normal((6, 3))), h_prev,
-                           Tensor(np.zeros((4, 1))), Tensor(np.zeros(1)), fuse_w)
-        assert np.allclose(out_a.data, out_b.data, atol=1e-12)
+        # zero gates zero the folded block diag(g) C W_lower, so C cannot matter
+        data, config = desk_fixture()
+        params = init_params(config, data.features.shape[1])
+        for name, tensor in params.items():
+            if name.startswith("gate_"):
+                tensor.data = np.zeros_like(tensor.data)
+        other = replace(data, coeffs=np.random.default_rng(8).standard_normal(data.coeffs.shape))
+        m = data.coeffs.shape[0]
+        for weight in layer_weights(other, params, config):
+            assert np.all(weight.data[-m:] == 0.0)
+        assert np.array_equal(forward(other, params, config).data,
+                              forward(data, params, config).data)
 
 
-def unfolded_fuse_layer(p_st, e_gt, coeffs, h_prev, gate_w, gate_b, fuse_w):
-    """Reference fusion step: build the filtered attributes, then concatenate and mix."""
-    gates = e_gt @ gate_w + gate_b
-    return ad.relu(ad.concat_cols(h_prev, spectral_filter(p_st, gates, coeffs)) @ fuse_w)
+def unfolded_forward(data, params, config):
+    """Reference forward: build the filtered attributes P diag(g) C, then
+    concatenate them to h_prev and mix with ``fuse_w``, layer by layer."""
+    e_pe = Tensor(eigenvalue_position_encoding(data.trunc.eigenvalues, config.d_m))
+    e_gt = transformer_block(e_pe, params)
+    p_st, coeffs = Tensor(data.trunc.eigenvectors), Tensor(data.coeffs)
+    h = Tensor(data.features)
+    for layer in range(config.layers):
+        gates = e_gt @ params[f"gate_w_{layer}"] + params[f"gate_b_{layer}"]
+        filtered = spectral_filter(p_st, gates, coeffs)
+        h = ad.relu(ad.concat_cols(h, filtered) @ params[f"fuse_w_{layer}"])
+    return h @ params["cls_w"] + params["cls_b"]
 
 
 class TestFoldedFusion:
     @pytest.mark.parametrize("layers", [1, 2])
-    def test_matches_unfolded_reference(self, layers, monkeypatch):
+    def test_matches_unfolded_reference(self, layers):
         spec = SyntheticSpec(kind="sbm", n=40,
                              params={"block_sizes": [20, 20], "p_in": 0.4, "p_out": 0.05},
                              seed=4)
@@ -171,15 +184,15 @@ class TestFoldedFusion:
         config = TrainConfig(m=5, hidden=12, d_m=4, heads=2, layers=layers, seed=2)
         data = prepare_inputs(graph, attrs, sens, labels, make_split(40, None, 0), config)
         params = init_params(config, data.features.shape[1])
-        rows = np.arange(40)
 
-        def logits_and_grads():
-            logits = forward(data, params, config).data
-            return logits, gradients(params, data, config, rows)
+        def logits_and_grads(run_forward):
+            ad.zero_grads(params.values())
+            logits = run_forward(data, params, config)
+            ad.mean_cross_entropy(logits, data.labels).backward()
+            return logits.data, {name: t.grad for name, t in params.items()}
 
-        logits, grads = logits_and_grads()
-        monkeypatch.setattr(model, "fuse_layer", unfolded_fuse_layer)
-        ref_logits, ref_grads = logits_and_grads()
+        logits, grads = logits_and_grads(forward)
+        ref_logits, ref_grads = logits_and_grads(unfolded_forward)
         assert np.abs(logits - ref_logits).max() <= 1e-12
         assert grads.keys() == ref_grads.keys()
         for name, grad in grads.items():
@@ -232,6 +245,23 @@ class TestForward:
             assert np.array_equal(taken.labels, data.labels[rows])
             assert np.allclose(forward(taken, params, config).data, full[rows],
                                rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("classes", [2, 3, 9])
+    def test_argmax_matches_numpy(self, classes):
+        rng = np.random.default_rng(classes)
+        logits = rng.standard_normal((60, classes))
+        logits[:20] = rng.integers(-1, 2, size=(20, classes))  # exact ties
+        logits[20] = np.inf
+        logits[21, 1] = np.inf
+        logits[22] = -np.inf
+        logits[23, 0], logits[23, -1] = -np.inf, np.inf
+        logits[24, 1:] = np.nan  # NaN counts as the maximum, the first one wins
+        logits[25, -1] = np.nan
+        logits[26, 0] = np.nan
+        logits[27] = np.nan
+        logits[28, 0], logits[28, -1] = np.inf, np.nan
+        assert np.array_equal(argmax_predict(logits), np.argmax(logits, axis=1))
+        assert argmax_predict(logits).dtype == np.int64
 
     def test_predict_tie_rules(self):
         assert argmax_predict(np.array([[0.2, 0.9]])).tolist() == [1]
@@ -369,6 +399,18 @@ class TestTrain:
         assert 0 < n_train + n_val < len(data.labels)
         assert rows == [n_train, n_val] * config.epochs
 
+    def test_transformer_runs_once_per_optimiser_step(self, monkeypatch):
+        # once before the first step and once after each: validation and the
+        # next step's loss share one weight computation
+        data, config = separable_toy()
+        config.epochs = 12
+        calls = []
+        original = model.transformer_block
+        monkeypatch.setattr(model, "transformer_block",
+                            lambda *args: calls.append(1) or original(*args))
+        train(data, config)
+        assert len(calls) == config.epochs + 1
+
     @pytest.mark.parametrize("with_val", [True, False])
     @pytest.mark.parametrize("spectral_fusion", [True, False])
     def test_matches_two_forward_reference(self, with_val, spectral_fusion):
@@ -443,6 +485,31 @@ class TestAdamAndCheckpoint:
         t.grad = np.array([1.0, -1.0])
         opt.step()
         assert t.data[0] < 1.0 and t.data[1] > -1.0
+
+    def test_flat_step_matches_per_tensor_loop(self):
+        rng = np.random.default_rng(12)
+        shapes = {"w": (3, 4), "b": (4,), "s": (1,), "frozen": (2, 2)}
+        tensors = {k: Tensor(rng.standard_normal(s), requires_grad=True)
+                   for k, s in shapes.items()}
+        lr, decay, beta1, beta2, eps = 0.01, 5e-4, 0.9, 0.999, 1e-8
+        ref = {k: t.data.copy() for k, t in tensors.items()}
+        first = {k: np.zeros(s) for k, s in shapes.items()}
+        second = {k: np.zeros(s) for k, s in shapes.items()}
+        opt = Adam(tensors, lr=lr, weight_decay=decay)
+        for step in range(1, 51):
+            for k, t in tensors.items():
+                t.grad = None if k == "frozen" else rng.standard_normal(shapes[k])
+            grads = {k: t.grad for k, t in tensors.items()}
+            opt.step()
+            for k in ref:
+                g = np.zeros_like(ref[k]) if grads[k] is None else grads[k]
+                g = g + decay * ref[k]
+                first[k] = beta1 * first[k] + (1 - beta1) * g
+                second[k] = beta2 * second[k] + (1 - beta2) * g * g
+                ref[k] = ref[k] - lr * (first[k] / (1.0 - beta1 ** step)) / (
+                    np.sqrt(second[k] / (1.0 - beta2 ** step)) + eps)
+            for k, t in tensors.items():
+                assert np.array_equal(t.data, ref[k]), (step, k)
 
     def test_checkpoint_round_trip(self, tmp_path):
         data, config = desk_fixture()
