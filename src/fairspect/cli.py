@@ -462,6 +462,9 @@ def cmd_sweep(args) -> int:
 
 def _verify_battery(args):
     """Graphs to verify: an explicit file, or the seeded synthetic battery."""
+    for flag, needed in (("attributes", "edges"), ("mask", "attributes")):
+        if getattr(args, flag) and not getattr(args, needed):
+            raise ValueError(f"verify reads --{flag} only with --{needed}")
     if args.edges:
         graph = load_edge_list(Path(args.edges).read_text(encoding="utf-8"))
         if args.attributes:

@@ -8,8 +8,6 @@ vector after every hop without changing the alignments it measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import AttributeMatrix, Graph, SensitiveColumn
@@ -19,33 +17,14 @@ class DegenerateVectorError(ValueError):
     """A zero-norm vector was handed to a direction-based operation."""
 
 
-@dataclass(frozen=True)
-class PaddedAttributes:
-    """Feature matrix with undisclosed sensitive entries replaced by zero.
-
-    ``padded_mask`` is True exactly where an original entry was replaced.
-    """
-
-    values: np.ndarray
-    padded_mask: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-        self.padded_mask.setflags(write=False)
-        if self.values.shape != self.padded_mask.shape:
-            raise ValueError("values and padded_mask must share a shape")
-
-
-def zero_pad(attrs: AttributeMatrix, sensitive: SensitiveColumn) -> PaddedAttributes:
-    """Zero out the sensitive column for nodes that did not disclose it."""
+def zero_pad(attrs: AttributeMatrix, sensitive: SensitiveColumn) -> np.ndarray:
+    """A copy of the features with the sensitive entry of every node that did
+    not disclose it set to zero."""
     if sensitive.n != attrs.n:
         raise ValueError("attribute matrix and sensitive column disagree on n")
     values = attrs.features.copy()
-    mask = np.zeros_like(values, dtype=bool)
-    hidden = ~sensitive.present
-    values[hidden, attrs.sensitive_index] = 0.0
-    mask[hidden, attrs.sensitive_index] = True
-    return PaddedAttributes(values=values, padded_mask=mask)
+    values[~sensitive.present, attrs.sensitive_index] = 0.0
+    return values
 
 
 def propagate_k_hop(graph: Graph, matrix: np.ndarray, k: int) -> np.ndarray:

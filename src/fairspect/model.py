@@ -1,12 +1,14 @@
 """Node classifier: transformer over eigenvalue tokens fused with zero-padded
 attributes through a learned spectral filter, trained with Adam.
 
-Architecture, in two stages:
+``prepare_inputs`` builds the network's constant inputs once per run: the
+table [H_padded | side] for every node, the sinusoidal tokens of the top-m
+eigenvalues and C = P^T H_padded. The network then runs in two stages:
 
     row-independent, once per set of parameters (``layer_weights``):
-        eigenvalues -> sinusoidal tokens -> pre-norm transformer block
+        eigen-tokens -> pre-norm transformer block
         -> per-layer scalar gates g -> one weight per layer,
-        W_folded = (W_upper ; diag(g) C W_lower), with C = P^T H_padded
+        W_folded = (W_upper ; diag(g) C W_lower)
     per row, one loop shared by both encoders (``forward``):
         h = H_padded; for each layer, h = ReLU((h || side) W_layer)
         -> linear 2-class head.
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -149,16 +150,6 @@ def init_params(config: TrainConfig, feature_width: int,
     return p
 
 
-def _assign(params: dict[str, Tensor], values: dict[str, np.ndarray]):
-    """Overwrite every parameter with ``values``, which must match in names and shapes."""
-    if set(values) != set(params):
-        raise ValueError("parameter name sets do not match")
-    for k, t in params.items():
-        if values[k].shape != t.data.shape:
-            raise ValueError(f"shape mismatch for {k}: {values[k].shape} vs {t.data.shape}")
-        t.data = values[k].astype(np.float64)
-
-
 def attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
     """Scaled dot-product self-attention for one head.
 
@@ -216,40 +207,29 @@ def spectral_filter(p_st: Tensor, gates: Tensor, coeffs: Tensor) -> Tensor:
     return p_st @ (gates * coeffs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedData:
-    """Everything ``forward``/``train`` need, computed once per run.
+    """What the network reads, built once per run by ``prepare_inputs``.
 
-    ``coeffs`` is P^T H (m, d); None without spectral fusion.
+    ``inputs`` is [H | side] for every node: H the padded attributes (its first
+    ``width`` columns) and side the per-node input every fusion layer appends
+    to h, P or the k-hop matrix. ``tokens`` are the eigenvalues' sinusoidal
+    encoding (m, d_m) and ``coeffs`` is P^T H (m, width); both are None
+    without spectral fusion.
     """
 
-    features: np.ndarray
+    inputs: np.ndarray
+    width: int
     labels: np.ndarray
     split: Split
-    trunc: SpectralTruncation | None
+    tokens: np.ndarray | None
     coeffs: np.ndarray | None
-    khop: np.ndarray | None
-
-    @property
-    def side(self) -> np.ndarray:
-        """The per-node input every fusion layer appends to h: P, or the k-hop matrix."""
-        return self.khop if self.trunc is None else self.trunc.eigenvectors
-
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """[features | side], the first layer's input, built on first use only,
-        so rows that are never forwarded never get it."""
-        return np.concatenate([self.features, self.side], axis=1)
 
     def take(self, rows) -> PreparedData:
-        """The inputs of the nodes ``rows``. Every row shares ``coeffs`` and the
-        eigenvalues, so ``forward(data.take(rows))`` is ``forward(data)`` on those
+        """The inputs of the nodes ``rows``. Every row shares ``tokens`` and
+        ``coeffs``, so ``forward(data.take(rows))`` is ``forward(data)`` on those
         rows. ``split`` still indexes the full graph."""
-        trunc = None if self.trunc is None else SpectralTruncation(
-            self.trunc.eigenvalues, self.trunc.eigenvectors[rows])
-        khop = None if self.khop is None else self.khop[rows]
-        return replace(self, features=self.features[rows], labels=self.labels[rows],
-                       trunc=trunc, khop=khop)
+        return replace(self, inputs=self.inputs[rows], labels=self.labels[rows])
 
 
 def structural_truncation(graph: Graph, config: TrainConfig) -> SpectralTruncation | None:
@@ -278,19 +258,21 @@ def prepare_inputs(
     ground-truth values stay available for evaluation.
     """
     config.validate()
-    padded = zero_pad(attrs, sensitive).values
+    padded = zero_pad(attrs, sensitive)
     if not config.sensitive_in_features:
         padded = np.delete(padded, attrs.sensitive_index, axis=1)
     if config.spectral_fusion:
         if trunc is None:
             trunc = structural_truncation(graph, config)
-        coeffs = trunc.eigenvectors.T @ padded
-        khop = None
+        side = trunc.eigenvectors
+        tokens = eigenvalue_position_encoding(trunc.eigenvalues, config.d_m)
+        coeffs = side.T @ padded
     else:
-        trunc = coeffs = None
-        khop = propagate_k_hop(graph, padded, config.k_hops)
-    return PreparedData(features=padded, labels=labels, split=split, trunc=trunc,
-                        coeffs=coeffs, khop=khop)
+        side = propagate_k_hop(graph, padded, config.k_hops)
+        tokens = coeffs = None
+    return PreparedData(inputs=np.concatenate([padded, side], axis=1),
+                        width=padded.shape[1], labels=labels, split=split,
+                        tokens=tokens, coeffs=coeffs)
 
 
 def layer_weights(data: PreparedData, params: dict[str, Tensor],
@@ -306,13 +288,12 @@ def layer_weights(data: PreparedData, params: dict[str, Tensor],
     fuse_ws = [params[f"fuse_w_{layer}"] for layer in range(config.layers)]
     if not config.spectral_fusion:
         return fuse_ws
-    e_pe = Tensor(eigenvalue_position_encoding(data.trunc.eigenvalues, config.d_m))
-    e_gt = transformer_block(e_pe, params)
+    e_gt = transformer_block(Tensor(data.tokens), params)
     coeffs = Tensor(data.coeffs)
     weights = []
     for layer, fuse_w in enumerate(fuse_ws):
         gates = e_gt @ params[f"gate_w_{layer}"] + params[f"gate_b_{layer}"]
-        width = fuse_w.data.shape[0] - data.coeffs.shape[1]
+        width = fuse_w.data.shape[0] - data.width
         weights.append(ad.concat_rows(ad.slice_rows(fuse_w, 0, width),
                                       (gates * coeffs) @ ad.slice_rows(fuse_w, width)))
     return weights
@@ -327,8 +308,8 @@ def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
     """
     if weights is None:
         weights = layer_weights(data, params, config)
-    side = Tensor(data.side)
-    h = Tensor(data.stacked)
+    side = Tensor(data.inputs[:, data.width:])
+    h = Tensor(data.inputs)
     for layer, weight in enumerate(weights):
         h = ad.relu((h if layer == 0 else ad.concat_cols(h, side)) @ weight)
     return h @ params["cls_w"] + params["cls_b"]
@@ -431,13 +412,13 @@ def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], d
     accuracy. Raises TrainingDivergedError on non-finite loss.
     """
     config.validate()
-    params = init_params(config, data.features.shape[1])
+    params = init_params(config, data.width)
     optimizer = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
     history = {"train_loss": [], "val_acc": []}
     train_rows, val_rows = data.take(data.split.train), data.take(data.split.val)
     select = len(val_rows.labels) > 0  # no validation signal -> keep final params
     best_acc = -1.0
-    best_values = {k: t.data.copy() for k, t in params.items()}
+    best = optimizer.values.copy()
     weights = layer_weights(data, params, config)
     for epoch in range(config.epochs):
         loss = ad.mean_cross_entropy(forward(train_rows, params, config, weights),
@@ -460,9 +441,9 @@ def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], d
         history["val_acc"].append(val_acc)
         if select and val_acc > best_acc:
             best_acc = val_acc
-            best_values = {k: t.data.copy() for k, t in params.items()}
+            best = optimizer.values.copy()
     if select:
-        _assign(params, best_values)
+        optimizer.values[...] = best
     return params, history
 
 
@@ -500,5 +481,10 @@ def load_checkpoint(path, config: TrainConfig, feature_width: int) -> dict[str, 
             for key in archive.files if key.startswith("param__")
         }
     params = init_params(config, feature_width)
-    _assign(params, values)
+    if set(values) != set(params):
+        raise ValueError("parameter name sets do not match")
+    for k, t in params.items():
+        if values[k].shape != t.data.shape:
+            raise ValueError(f"shape mismatch for {k}: {values[k].shape} vs {t.data.shape}")
+        t.data = values[k].astype(np.float64)
     return params

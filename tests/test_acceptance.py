@@ -166,7 +166,7 @@ def test_criterion_5_gradient_correctness():
     config = TrainConfig(m=2, hidden=8, d_m=4, heads=2, layers=2, seed=7)
     split = make_split(6, None, 0)
     data = prepare_inputs(graph, attrs, sens, labels, split, config)
-    params = init_params(config, data.features.shape[1])
+    params = init_params(config, data.width)
     grads = gradients(params, data, config)
     h = 1e-5
     worst = 0.0

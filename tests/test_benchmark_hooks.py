@@ -48,22 +48,23 @@ def test_benchmark_hook_resolves(module, owner, attr):
 
 
 def test_training_reaches_every_traced_global():
-    """Training calls ``predict``, ``forward`` and the position encoding through
-    the module globals the tracer wraps, so ``model.val_predict_s``,
-    ``model.forward_calls`` and ``encoding.pe_calls`` count real work."""
+    """Training calls ``predict`` and ``forward`` through the module globals the
+    tracer wraps, so ``model.val_predict_s`` and ``model.forward_calls`` count
+    real work; the position encoding runs once, in ``prepare_inputs``, so
+    ``encoding.pe_calls`` counts one per prepared run and none per epoch."""
     from fairspect import cli
     from fairspect.graph import make_split
-    from fairspect.model import TrainConfig, prepare_inputs
+    from fairspect.model import TrainConfig
     from fairspect.synthetic import SyntheticSpec, gen_synthetic
 
     spec = SyntheticSpec(kind="sbm", n=30,
                          params={"block_sizes": [15, 15], "p_in": 0.4, "p_out": 0.05}, seed=1)
     graph, attrs, sens, labels = gen_synthetic(spec)
     config = TrainConfig(m=3, hidden=4, d_m=4, heads=1, epochs=5, seed=0)
-    data = prepare_inputs(graph, attrs, sens, labels, make_split(30, None, 0), config)
     tracer = TRACING.Tracer("hooks")
     tracer.install()
     try:
+        data = cli.prepare_inputs(graph, attrs, sens, labels, make_split(30, None, 0), config)
         cli.train(data, config)
     finally:
         tracer.uninstall()
@@ -73,4 +74,6 @@ def test_training_reaches_every_traced_global():
     assert len(predicts) == config.epochs
     assert all(spans[span.parent].name == "model.train" for span in predicts)
     assert names.count("model.forward") == 2 * config.epochs
-    assert names.count("encoding.position_encoding") == config.epochs + 1
+    encodings = [span for span in spans if span.name == "encoding.position_encoding"]
+    assert len(encodings) == 1
+    assert spans[encodings[0].parent].name == "model.prepare"

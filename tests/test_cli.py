@@ -349,6 +349,28 @@ class TestVerify:
         assert summary["ok"]
         assert summary["multiplicity"]["checked"] == 3
 
+    def test_attributes_without_edges_is_usage_error(self, tmp_path, capsys):
+        # the synthetic battery would run and never open either file
+        out = tmp_path / "verify"
+        code = main(["verify", "--attributes", str(tmp_path / "absent.csv"),
+                     "--mask", str(tmp_path / "absent.mask"), "--suite_size", "2",
+                     "--out_dir", str(out)])
+        assert code == 1
+        assert "--attributes only with --edges" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mask_without_attributes_is_usage_error(self, tmp_path, capsys):
+        # the file's graph would get a random sensitive column and drop the mask
+        edges, _ = write_k3(tmp_path)
+        mask = tmp_path / "mask.ids"
+        mask.write_text("2\n")
+        out = tmp_path / "verify"
+        code = main(["verify", "--edges", str(edges), "--mask", str(mask),
+                     "--multiplicity_count", "0", "--out_dir", str(out)])
+        assert code == 1
+        assert "--mask only with --attributes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigAndExitCodes:
     def test_config_file_with_flag_override(self, tmp_path):

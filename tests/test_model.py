@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from fairspect import autodiff as ad
 from fairspect import model
 from fairspect.autodiff import Tensor
-from fairspect.encoding import eigenvalue_position_encoding
+from fairspect.encoding import eigenvalue_position_encoding, propagate_k_hop, zero_pad
 from fairspect.graph import Split, apply_missing_mask, make_split
 from fairspect.model import (
     Adam,
@@ -29,7 +29,7 @@ from fairspect.model import (
     train,
     transformer_block,
 )
-from fairspect.spectral import dense_eigendecomposition
+from fairspect.spectral import dense_eigendecomposition, top_m_eigenpairs
 from fairspect.synthetic import SyntheticSpec, gen_synthetic
 
 
@@ -49,6 +49,35 @@ def desk_fixture(missing_rate=0.3, layers=2, hidden=8, d_m=4, heads=2,
     split = make_split(6, None, 0)
     data = prepare_inputs(graph, attrs, sens, labels, split, config)
     return data, config
+
+
+class TestPreparedData:
+    @pytest.mark.parametrize("spectral_fusion", [True, False])
+    def test_inputs_are_padded_attributes_next_to_side(self, spectral_fusion):
+        spec = SyntheticSpec(kind="erdos_renyi", n=10, params={"p": 0.5}, seed=2)
+        graph, attrs, sens, labels = gen_synthetic(spec)
+        sens = apply_missing_mask(sens, 0.3, seed=1)
+        config = TrainConfig(m=3, d_m=4, heads=1, spectral_fusion=spectral_fusion)
+        data = prepare_inputs(graph, attrs, sens, labels, make_split(10, None, 0), config)
+        padded = zero_pad(attrs, sens)
+        assert data.width == padded.shape[1]
+        assert np.array_equal(data.inputs[:, :data.width], padded)
+        if spectral_fusion:
+            trunc = top_m_eigenpairs(graph, config.m)
+            assert np.array_equal(data.inputs[:, data.width:], trunc.eigenvectors)
+            assert np.array_equal(data.tokens,
+                                  eigenvalue_position_encoding(trunc.eigenvalues, config.d_m))
+            assert np.array_equal(data.coeffs, trunc.eigenvectors.T @ padded)
+        else:
+            assert np.array_equal(data.inputs[:, data.width:],
+                                  propagate_k_hop(graph, padded, config.k_hops))
+            assert data.tokens is None and data.coeffs is None
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(PreparedData)])
+    def test_fields_cannot_be_reassigned(self, field):
+        data, _ = desk_fixture()
+        with pytest.raises(FrozenInstanceError):
+            setattr(data, field, getattr(data, field))
 
 
 class TestAttention:
@@ -144,10 +173,10 @@ class TestSpectralFilter:
         out = spectral_filter(Tensor(p1), Tensor(np.ones((1, 1))), Tensor(p1.T @ h))
         assert np.allclose(out.data[:, 0], 2.0 / 3.0, atol=1e-12)
 
-    def test_fuse_layer_depends_only_on_prev_when_gate_zero(self):
+    def test_folded_weight_depends_only_on_prev_when_gate_zero(self):
         # zero gates zero the folded block diag(g) C W_lower, so C cannot matter
         data, config = desk_fixture()
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
         for name, tensor in params.items():
             if name.startswith("gate_"):
                 tensor.data = np.zeros_like(tensor.data)
@@ -162,10 +191,9 @@ class TestSpectralFilter:
 def unfolded_forward(data, params, config):
     """Reference forward: build the filtered attributes P diag(g) C, then
     concatenate them to h_prev and mix with ``fuse_w``, layer by layer."""
-    e_pe = Tensor(eigenvalue_position_encoding(data.trunc.eigenvalues, config.d_m))
-    e_gt = transformer_block(e_pe, params)
-    p_st, coeffs = Tensor(data.trunc.eigenvectors), Tensor(data.coeffs)
-    h = Tensor(data.features)
+    e_gt = transformer_block(Tensor(data.tokens), params)
+    p_st, coeffs = Tensor(data.inputs[:, data.width:]), Tensor(data.coeffs)
+    h = Tensor(data.inputs[:, :data.width])
     for layer in range(config.layers):
         gates = e_gt @ params[f"gate_w_{layer}"] + params[f"gate_b_{layer}"]
         filtered = spectral_filter(p_st, gates, coeffs)
@@ -183,7 +211,7 @@ class TestFoldedFusion:
         sens = apply_missing_mask(sens, 0.3, seed=1)
         config = TrainConfig(m=5, hidden=12, d_m=4, heads=2, layers=layers, seed=2)
         data = prepare_inputs(graph, attrs, sens, labels, make_split(40, None, 0), config)
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
 
         def logits_and_grads(run_forward):
             ad.zero_grads(params.values())
@@ -203,7 +231,7 @@ class TestFoldedFusion:
 class TestForward:
     def test_zero_classifier_gives_zero_logits_and_class_zero(self):
         data, config = desk_fixture()
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
         params["cls_w"].data = np.zeros_like(params["cls_w"].data)
         params["cls_b"].data = np.zeros_like(params["cls_b"].data)
         logits = forward(data, params, config).data
@@ -212,36 +240,28 @@ class TestForward:
 
     def test_node_permutation_equivariance(self):
         data, config = desk_fixture()
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
         logits = forward(data, params, config).data
         perm = np.array([3, 0, 5, 1, 4, 2])
-        permuted = PreparedData(
-            features=data.features[perm],
-            labels=data.labels[perm],
-            split=data.split,
-            trunc=type(data.trunc)(
-                eigenvalues=data.trunc.eigenvalues.copy(),
-                eigenvectors=data.trunc.eigenvectors[perm].copy(),
-            ),
-            coeffs=data.coeffs,  # P^T H is invariant under a node permutation
-            khop=None,
-        )
+        # the tokens and P^T H are invariant under a node permutation
+        permuted = replace(data, inputs=data.inputs[perm], labels=data.labels[perm])
         logits_perm = forward(permuted, params, config).data
         assert np.allclose(logits_perm, logits[perm], atol=1e-12)
 
     def test_logits_finite(self):
         for spectral in (True, False):
             data, config = desk_fixture(spectral_fusion=spectral)
-            params = init_params(config, data.features.shape[1])
+            params = init_params(config, data.width)
             assert np.all(np.isfinite(forward(data, params, config).data))
 
     @pytest.mark.parametrize("spectral_fusion", [True, False])
     def test_forward_on_taken_rows_matches_full_forward(self, spectral_fusion):
         data, config = desk_fixture(spectral_fusion=spectral_fusion)
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
         full = forward(data, params, config).data
         for rows in (np.array([4, 0, 2]), np.array([5]), np.arange(6)):
             taken = data.take(rows)
+            assert np.array_equal(taken.inputs, data.inputs[rows])
             assert np.array_equal(taken.labels, data.labels[rows])
             assert np.allclose(forward(taken, params, config).data, full[rows],
                                rtol=1e-12, atol=1e-12)
@@ -273,7 +293,7 @@ class TestForward:
 
 class TestGradients:
     def _check_fd(self, data, config, tol=1e-4, h=1e-5):
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
         grads = gradients(params, data, config)
         idx = data.split.train
         for name, tensor in params.items():
@@ -310,10 +330,11 @@ class TestGradients:
                       test=np.empty(0, dtype=np.int64))
         trunc = dense_eigendecomposition(graph)
         p = trunc.eigenvectors[:, :2].copy()
-        data = PreparedData(features=features, labels=labels, split=split,
-                            trunc=type(trunc)(eigenvalues=trunc.eigenvalues[:2].copy(),
-                                              eigenvectors=p),
-                            coeffs=p.T @ features, khop=None)
+        data = PreparedData(inputs=np.concatenate([features, p], axis=1), width=1,
+                            labels=labels, split=split,
+                            tokens=eigenvalue_position_encoding(trunc.eigenvalues[:2],
+                                                               config.d_m),
+                            coeffs=p.T @ features)
         params = init_params(config, 1)
         for name, tensor in params.items():
             if name.startswith(("attn_", "ffn_", "gate_")):
@@ -329,7 +350,7 @@ class TestGradients:
 
     def test_doubling_loss_doubles_gradients(self):
         data, config = desk_fixture()
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
         ad.zero_grads(params.values())
         loss_on(data, params, config, data.split.train).backward()
         singles = {k: t.grad.copy() for k, t in params.items()}
@@ -355,7 +376,7 @@ def separable_toy(seed=0):
 
 def two_forward_train(data, config):
     """Reference loop: a loss forward per step, then a ``predict`` forward to score it."""
-    params = init_params(config, data.features.shape[1])
+    params = init_params(config, data.width)
     optimizer = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
     history = {"train_loss": [], "val_acc": []}
     select = len(data.split.val) > 0
@@ -390,7 +411,7 @@ class TestTrain:
         original = model.forward
 
         def counting_forward(data, *args, **kwargs):
-            rows.append(data.features.shape[0])
+            rows.append(data.inputs.shape[0])
             return original(data, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward", counting_forward)
@@ -417,8 +438,9 @@ class TestTrain:
         data, config = (separable_toy(seed=2) if spectral_fusion
                         else desk_fixture(spectral_fusion=False))
         if not with_val:
-            data.split = Split(train=np.concatenate([data.split.train, data.split.val]),
-                               val=np.empty(0, dtype=np.int64), test=data.split.test)
+            data = replace(data, split=Split(
+                train=np.concatenate([data.split.train, data.split.val]),
+                val=np.empty(0, dtype=np.int64), test=data.split.test))
         config.epochs = 80
         params, history = train(data, config)
         ref_params, ref_history = two_forward_train(data, config)
@@ -448,7 +470,7 @@ class TestTrain:
         config.lr = 0.0
         config.epochs = 10
         params, history = train(data, config)
-        fresh = init_params(config, data.features.shape[1])
+        fresh = init_params(config, data.width)
         for k, t in params.items():
             assert np.array_equal(t.data, fresh[k].data)
         assert len(set(history["val_acc"])) == 1
@@ -456,8 +478,8 @@ class TestTrain:
     def test_empty_validation_set_keeps_final_params(self):
         # without a validation signal the last epoch wins, not the first
         data, config = separable_toy()
-        data.split = Split(train=np.arange(8), val=np.empty(0, dtype=np.int64),
-                           test=np.empty(0, dtype=np.int64))
+        data = replace(data, split=Split(train=np.arange(8), val=np.empty(0, dtype=np.int64),
+                                         test=np.empty(0, dtype=np.int64)))
         config.epochs = 150
         params, history = train(data, config)
         yhat = predict(params, data, config)
@@ -513,31 +535,31 @@ class TestAdamAndCheckpoint:
 
     def test_checkpoint_round_trip(self, tmp_path):
         data, config = desk_fixture()
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, params, config)
-        loaded = load_checkpoint(path, config, data.features.shape[1])
+        loaded = load_checkpoint(path, config, data.width)
         for k, t in params.items():
             assert np.array_equal(t.data, loaded[k].data)
 
     def test_checkpoint_shape_validation(self, tmp_path):
         data, config = desk_fixture()
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, params, config)
         wrong = TrainConfig(**{**config.as_dict(), "hidden": config.hidden * 2})
         with pytest.raises(ValueError):
-            load_checkpoint(path, wrong, data.features.shape[1])
+            load_checkpoint(path, wrong, data.width)
 
     def test_checkpoint_rejects_config_with_same_shapes(self, tmp_path):
         # m and lr leave every parameter shape unchanged
         data, config = desk_fixture()
-        params = init_params(config, data.features.shape[1])
+        params = init_params(config, data.width)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, params, config)
         other = TrainConfig(**{**config.as_dict(), "m": config.m + 1, "lr": config.lr * 2})
         with pytest.raises(ValueError, match=r"lr \(stored .*\), m \(stored"):
-            load_checkpoint(path, other, data.features.shape[1])
+            load_checkpoint(path, other, data.width)
 
 
 class TestTrainConfigValidation:
