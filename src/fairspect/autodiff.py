@@ -4,7 +4,14 @@ A small tape: every Tensor produced by an operation keeps its parents and a
 closure routing the output gradient back to them. Only the handful of fused
 operations the classifier needs are implemented, each with a hand-written
 adjoint; their correctness is pinned by central-finite-difference tests
-rather than by construction.
+rather than by construction. Besides the elementwise and structural ops
+(matmul, relu, concat, slices, GELU, softmax, layer norm), the fused ones
+are ``mean_cross_entropy`` and ``relu_layers``, the whole per-row network
+(ReLU fusion layers and the linear head) as one node.
+
+An adjoint may overwrite an array only if it allocated that array itself,
+and only before handing it on; an array it received or passed to
+``_accumulate`` is never written again.
 
 Everything runs in float64. Constants (graph data, eigenvector bases) enter
 as Tensors with ``requires_grad=False`` and receive no gradient.
@@ -111,9 +118,10 @@ def _accumulate(t: Tensor, grad: np.ndarray):
     """Add ``grad`` into ``t.grad``.
 
     ``t.grad`` may become the very array passed in, so it can share memory
-    with another tensor's gradient. That is safe because no gradient is ever
-    mutated in place: every update here and in every consumer builds a new
-    array.
+    with another tensor's gradient or with the gradient an adjoint received.
+    That is safe because an adjoint overwrites only an array it allocated
+    itself, and only before handing it on: once an array reaches this
+    function, nothing writes to it again.
     """
     if not t.requires_grad:
         return
@@ -210,6 +218,43 @@ def relu(a) -> Tensor:
         _accumulate(a, g * (a.data > 0))
 
     return _make(np.maximum(a.data, 0.0), (a,), grad_fn)
+
+
+def relu_layers(x: np.ndarray, side: np.ndarray, weights, head_w, head_b) -> Tensor:
+    """Logits of the per-row network as one node: h = x, then
+    h = ReLU(inp W) per weight, where inp is x for the first weight and
+    [h | side] after it, then h head_w + head_b.
+
+    ``x`` and ``side`` are constants; the parents are the weights and the head.
+    The result is bit for bit that of the same network composed from
+    ``matmul``, ``relu``, ``concat_cols`` and ``add``, but each ReLU is written
+    over its pre-activation, whose mask ``act > 0`` is the same (also for
+    -0.0 and NaN), and the adjoint masks the gradient in place. The node keeps
+    each layer's input and the last activation; an earlier activation is
+    read back from the next layer's input.
+    """
+    weights = [_ensure(w) for w in weights]
+    head_w, head_b = _ensure(head_w), _ensure(head_b)
+    inputs = []
+    h = x
+    for layer, w in enumerate(weights):
+        inputs.append(x if layer == 0 else np.concatenate([h, side], axis=1))
+        h = inputs[-1] @ w.data
+        np.maximum(h, 0.0, out=h)
+    acts = [inp[:, :h.shape[1]] for inp in inputs[1:]] + [h]
+
+    def grad_fn(g):
+        _accumulate(head_w, h.T @ g)
+        _accumulate(head_b, g)
+        gh = g @ head_w.data.T
+        for layer in reversed(range(len(weights))):
+            # gh is this adjoint's own array, not yet handed on
+            np.multiply(gh, acts[layer] > 0, out=gh)
+            _accumulate(weights[layer], inputs[layer].T @ gh)
+            if layer:
+                gh = (gh @ weights[layer].data.T)[:, :h.shape[1]]
+
+    return _make(h @ head_w.data + head_b.data, (*weights, head_w, head_b), grad_fn)
 
 
 def gelu(a) -> Tensor:

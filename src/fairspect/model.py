@@ -9,7 +9,8 @@ eigenvalues and C = P^T H_padded. The network then runs in two stages:
         eigen-tokens -> pre-norm transformer block
         -> per-layer scalar gates g -> one weight per layer,
         W_folded = (W_upper ; diag(g) C W_lower)
-    per row, one loop shared by both encoders (``forward``):
+    per row, one autodiff node shared by both encoders (``forward``, which is
+    ``autodiff.relu_layers``):
         h = H_padded; for each layer, h = ReLU((h || side) W_layer)
         -> linear 2-class head.
 
@@ -308,11 +309,8 @@ def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
     """
     if weights is None:
         weights = layer_weights(data, params, config)
-    side = Tensor(data.inputs[:, data.width:])
-    h = Tensor(data.inputs)
-    for layer, weight in enumerate(weights):
-        h = ad.relu((h if layer == 0 else ad.concat_cols(h, side)) @ weight)
-    return h @ params["cls_w"] + params["cls_b"]
+    return ad.relu_layers(data.inputs, data.inputs[:, data.width:], weights,
+                          params["cls_w"], params["cls_b"])
 
 
 def loss_on(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,

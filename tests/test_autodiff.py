@@ -95,6 +95,13 @@ class TestStructuralOps:
         check_op(lambda a, b: ad.concat_rows(ad.slice_rows(a, 0, 2),
                                              ad.slice_rows(a, 2) @ b), (5, 3), (3, 3))
 
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_relu_layers(self, layers):
+        rng = np.random.default_rng(9)
+        x, side = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        shapes = [(3, 4)] + [(6, 4)] * (layers - 1) + [(4, 2), (2,)]
+        check_op(lambda *t: ad.relu_layers(x, side, t[:-2], t[-2], t[-1]), *shapes, seed=10)
+
     def test_reused_node_accumulates(self):
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         y = (x * x) + (x * 3.0)  # dy/dx = 2x + 3

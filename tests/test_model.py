@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -226,6 +227,92 @@ class TestFoldedFusion:
         for name, grad in grads.items():
             assert np.any(ref_grads[name] != 0.0), name
             assert np.abs(grad - ref_grads[name]).max() <= 1e-12, name
+
+
+def composed_forward(data, params, config):
+    """``forward`` built from the elementary ops ``matmul``, ``relu``,
+    ``concat_cols`` and ``add``: the per-row network as a chain of nodes."""
+    side = Tensor(data.inputs[:, data.width:])
+    h = Tensor(data.inputs)
+    for layer, weight in enumerate(layer_weights(data, params, config)):
+        h = ad.relu((h if layer == 0 else ad.concat_cols(h, side)) @ weight)
+    return h @ params["cls_w"] + params["cls_b"]
+
+
+def bits(a):
+    """Float64 values as their bit patterns: -0.0 differs from 0.0, NaN equals itself."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestFusedRowNetwork:
+    """``forward`` is one ``relu_layers`` node, bit for bit its composition."""
+
+    @pytest.mark.parametrize("case", ["random", "exact_zeros", "nan_row"])
+    @pytest.mark.parametrize("spectral_fusion", [True, False])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_bit_identical_to_elementary_ops(self, layers, spectral_fusion, case):
+        data, config = desk_fixture(layers=layers, spectral_fusion=spectral_fusion)
+        params = init_params(config, data.width)
+        inputs = data.inputs.copy()
+        if case == "exact_zeros":
+            # a zero row is a zero pre-activation in every layer; a zero weight
+            # column is one in every row
+            inputs[1] = 0.0
+            for layer in range(layers):
+                params[f"fuse_w_{layer}"].data[:, layer] = 0.0
+        elif case == "nan_row":
+            inputs[4] = np.nan
+        data = replace(data, inputs=inputs)
+        # signed upstream gradients: a masked negative entry becomes -0.0
+        coef = Tensor(np.random.default_rng(layers).standard_normal((len(inputs), 2)))
+
+        def logits_and_grads(run_forward):
+            ad.zero_grads(params.values())
+            logits = run_forward(data, params, config)
+            total = (logits * coef) @ Tensor(np.ones((2, 1)))
+            (ad.transpose(total) @ Tensor(np.ones((len(inputs), 1)))).backward()
+            return logits.data, {name: t.grad for name, t in params.items()}
+
+        logits, grads = logits_and_grads(forward)
+        ref_logits, ref_grads = logits_and_grads(composed_forward)
+        assert np.array_equal(bits(logits), bits(ref_logits))
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert (grad is None) == (ref_grads[name] is None), name
+            if grad is not None:
+                assert np.array_equal(bits(grad), bits(ref_grads[name])), name
+        if case == "exact_zeros":
+            assert not np.any(grads["fuse_w_0"][:, 0])
+        assert np.isnan(logits).any() == (case == "nan_row")
+
+    @pytest.mark.parametrize("spectral_fusion", [True, False])
+    def test_parents_are_the_weights_and_the_head(self, spectral_fusion):
+        data, config = desk_fixture(spectral_fusion=spectral_fusion)
+        params = init_params(config, data.width)
+        weights = layer_weights(data, params, config)
+        logits = forward(data, params, config, weights)
+        assert logits._parents == (*weights, params["cls_w"], params["cls_b"])
+
+    def test_loss_tape_peak_below_three_row_arrays(self):
+        """No rows x hidden pre-activation outlives the forward, and the adjoint
+        masks in place: about two such arrays are alive at the peak."""
+        rows, hidden, width = 20_000, 32, 6
+        config = TrainConfig(m=4, hidden=hidden, d_m=4, heads=1)
+        rng = np.random.default_rng(0)
+        no_rows = np.empty(0, dtype=np.int64)
+        data = PreparedData(inputs=rng.standard_normal((rows, width + config.m)),
+                            width=width, labels=rng.integers(0, 2, rows),
+                            split=Split(train=np.arange(rows), val=no_rows, test=no_rows),
+                            tokens=rng.standard_normal((config.m, config.d_m)),
+                            coeffs=rng.standard_normal((config.m, width)))
+        params = init_params(config, width)
+        tracemalloc.start()
+        try:
+            ad.mean_cross_entropy(forward(data, params, config), data.labels).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * rows * hidden * 8
 
 
 class TestForward:
