@@ -6,8 +6,11 @@ operations the classifier needs are implemented, each with a hand-written
 adjoint; their correctness is pinned by central-finite-difference tests
 rather than by construction. Besides the elementwise and structural ops
 (matmul, relu, concat, slices, GELU, softmax, layer norm), the fused ones
-are ``mean_cross_entropy`` and ``relu_layers``, the whole per-row network
-(ReLU fusion layers and the linear head) as one node.
+are ``mean_cross_entropy`` and ``relu_layers_loss``: the whole per-row
+network (ReLU fusion layers and the linear head) and its mean cross entropy
+as one node, which streams the rows in blocks of ``BLOCK_ELEMENTS`` and keeps
+only the gradient sums. ``relu_layers_logits`` runs the same block loop for
+prediction and builds no node.
 
 An adjoint may overwrite an array only if it allocated that array itself,
 and only before handing it on; an array it received or passed to
@@ -24,6 +27,10 @@ from scipy.special import erf
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# elements of one rows x hidden block of the per-row network: 256 KiB of
+# float64, so a block's arrays stay in a core's L2 cache
+BLOCK_ELEMENTS = 1 << 15
 
 
 class Tensor:
@@ -220,41 +227,85 @@ def relu(a) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), grad_fn)
 
 
-def relu_layers(x: np.ndarray, side: np.ndarray, weights, head_w, head_b) -> Tensor:
-    """Logits of the per-row network as one node: h = x, then
-    h = ReLU(inp W) per weight, where inp is x for the first weight and
-    [h | side] after it, then h head_w + head_b.
+def _row_blocks(x: np.ndarray, side: np.ndarray, weights, head_w: np.ndarray,
+                head_b: np.ndarray):
+    """The per-row network over blocks of ``BLOCK_ELEMENTS // hidden`` rows.
+
+    Yields, per block, its row slice, each layer's input, the last activation
+    and the logits. h = x, then h = ReLU(inp W) per weight, where inp is x for
+    the first weight and [h | side] after it, then logits = h head_w + head_b.
+    Every ReLU is written over its pre-activation, whose mask ``act > 0`` is
+    the same (also for -0.0 and NaN). An earlier layer's activation is the
+    first columns of the next layer's input.
+    """
+    step = max(1, BLOCK_ELEMENTS // head_w.shape[0])
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        inputs = []
+        h = x[rows]
+        for layer, w in enumerate(weights):
+            inputs.append(h if layer == 0 else np.concatenate([h, side[rows]], axis=1))
+            h = inputs[-1] @ w
+            np.maximum(h, 0.0, out=h)
+        yield rows, inputs, h, h @ head_w + head_b
+
+
+def relu_layers_logits(x: np.ndarray, side: np.ndarray, weights, head_w: np.ndarray,
+                       head_b: np.ndarray) -> np.ndarray:
+    """Logits of the per-row network (see ``_row_blocks``), (rows, classes).
+
+    Plain arrays in and out, no node: prediction needs no gradient.
+    """
+    logits = np.empty((len(x), head_w.shape[1]))
+    for rows, _, _, block_logits in _row_blocks(x, side, weights, head_w, head_b):
+        logits[rows] = block_logits
+    return logits
+
+
+def relu_layers_loss(x: np.ndarray, side: np.ndarray, weights, head_w, head_b,
+                     labels) -> Tensor:
+    """Mean cross entropy of the per-row network's logits, as one node.
 
     ``x`` and ``side`` are constants; the parents are the weights and the head.
-    The result is bit for bit that of the same network composed from
-    ``matmul``, ``relu``, ``concat_cols`` and ``add``, but each ReLU is written
-    over its pre-activation, whose mask ``act > 0`` is the same (also for
-    -0.0 and NaN), and the adjoint masks the gradient in place. The node keeps
-    each layer's input and the last activation; an earlier activation is
-    read back from the next layer's input.
+    The network runs block by block (``_row_blocks``), and each block is
+    differentiated as soon as it is computed: the row-local gradient
+    (p - y) / N goes back through the head and the ReLU layers, masked in
+    place, into running sums of the parameter gradients. Those sums are all
+    the node keeps besides the per-row losses; no rows x hidden array
+    outlives its block. The adjoint scales them by the upstream gradient.
+    Loss and gradients are those of ``mean_cross_entropy`` over the network
+    composed from elementary nodes, up to the rounding of the block sums.
     """
     weights = [_ensure(w) for w in weights]
     head_w, head_b = _ensure(head_w), _ensure(head_b)
-    inputs = []
-    h = x
-    for layer, w in enumerate(weights):
-        inputs.append(x if layer == 0 else np.concatenate([h, side], axis=1))
-        h = inputs[-1] @ w.data
-        np.maximum(h, 0.0, out=h)
-    acts = [inp[:, :h.shape[1]] for inp in inputs[1:]] + [h]
+    labels = _checked_labels(labels, len(x))
+    n = len(labels)
+    hidden = head_w.data.shape[0]
+    losses = np.empty(n)
+    parents = (*weights, head_w, head_b)
+    totals = [np.zeros_like(t.data) for t in parents]
+    *grad_ws, grad_head_w, grad_head_b = totals
+    for rows, inputs, h, logits in _row_blocks(x, side, [w.data for w in weights],
+                                               head_w.data, head_b.data):
+        losses[rows], g = _cross_entropy_rows(logits, labels[rows])
+        g /= n
+        grad_head_w += h.T @ g
+        grad_head_b += g.sum(axis=0)
+        gh = g @ head_w.data.T
+        acts = [inp[:, :hidden] for inp in inputs[1:]] + [h]
+        for layer in reversed(range(len(weights))):
+            # gh is this block's own array, not yet handed on
+            np.multiply(gh, acts[layer] > 0, out=gh)
+            grad_ws[layer] += inputs[layer].T @ gh
+            if layer:
+                gh = gh @ weights[layer].data[:hidden].T
 
     def grad_fn(g):
-        _accumulate(head_w, h.T @ g)
-        _accumulate(head_b, g)
-        gh = g @ head_w.data.T
-        for layer in reversed(range(len(weights))):
-            # gh is this adjoint's own array, not yet handed on
-            np.multiply(gh, acts[layer] > 0, out=gh)
-            _accumulate(weights[layer], inputs[layer].T @ gh)
-            if layer:
-                gh = (gh @ weights[layer].data.T)[:, :h.shape[1]]
+        scale = float(g)
+        for parent, total in zip(parents, totals):
+            _accumulate(parent, scale * total)
 
-    return _make(h @ head_w.data + head_b.data, (*weights, head_w, head_b), grad_fn)
+    return _make(losses.mean(), parents, grad_fn)
 
 
 def gelu(a) -> Tensor:
@@ -300,33 +351,44 @@ def layer_norm_rows(a, eps: float = 1e-5) -> Tensor:
     return _make(y, (a,), grad_fn)
 
 
-def mean_cross_entropy(logits, labels) -> Tensor:
-    """Mean two-or-more-class cross entropy from raw logits."""
-    logits = _ensure(logits)
+def _checked_labels(labels, rows: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    n = len(labels)
-    if n == 0:
+    if len(labels) == 0:
         raise ValueError("cross entropy over an empty batch is undefined")
-    if logits.data.shape[0] != n:
+    if len(labels) != rows:
         raise ValueError("one label per logits row required")
+    return labels
+
+
+def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
+    """Per-row cross entropy from raw logits, and its gradient p - y per row."""
     # class by class over the columns: a reduction along the short class axis
     # costs far more than one pass per column, and below eight classes numpy
     # sums that axis in this same order
-    columns = logits.data.T
+    columns = logits.T
     top = columns[0]
     for column in columns[1:]:
         top = np.maximum(top, column)
-    shifted = logits.data - top[:, None]
+    shifted = logits - top[:, None]
     exp = np.exp(shifted)
     sums = exp[:, 0]
     for c in range(1, exp.shape[1]):
         sums = sums + exp[:, c]
-    losses = np.log(sums) - shifted[np.arange(n), labels]
-    probs = exp / sums[:, None]
+    rows = np.arange(len(labels))
+    losses = np.log(sums) - shifted[rows, labels]
+    d = exp / sums[:, None]
+    d[rows, labels] -= 1.0
+    return losses, d
+
+
+def mean_cross_entropy(logits, labels) -> Tensor:
+    """Mean two-or-more-class cross entropy from raw logits."""
+    logits = _ensure(logits)
+    labels = _checked_labels(labels, len(logits.data))
+    n = len(labels)
+    losses, d = _cross_entropy_rows(logits.data, labels)
 
     def grad_fn(g):
-        d = probs.copy()
-        d[np.arange(n), labels] -= 1.0
         _accumulate(logits, float(g) * d / n)
 
     return _make(losses.mean(), (logits,), grad_fn)

@@ -9,10 +9,12 @@ eigenvalues and C = P^T H_padded. The network then runs in two stages:
         eigen-tokens -> pre-norm transformer block
         -> per-layer scalar gates g -> one weight per layer,
         W_folded = (W_upper ; diag(g) C W_lower)
-    per row, one autodiff node shared by both encoders (``forward``, which is
-    ``autodiff.relu_layers``):
+    per row, shared by both encoders and streamed over row blocks:
         h = H_padded; for each layer, h = ReLU((h || side) W_layer)
         -> linear 2-class head.
+    ``loss`` takes the mean cross entropy of those logits as one autodiff node
+    (``autodiff.relu_layers_loss``) that differentiates each block as it goes,
+    and ``forward`` returns the logits alone (``autodiff.relu_layers_logits``).
 
 Here side is P (the top-m eigenvectors) and W_layer the folded weight. Since
 (H_prev || P diag(g) C) W = (H_prev || P) W_folded, that is the spectral
@@ -301,23 +303,35 @@ def layer_weights(data: PreparedData, params: dict[str, Tensor],
 
 
 def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
-            weights: list[Tensor] | None = None) -> Tensor:
-    """Logits for every node of ``data``, (n, 2).
+            weights: list[Tensor] | None = None) -> np.ndarray:
+    """Logits for every node of ``data``, (n, 2), as a plain array.
 
     ``weights`` are ``layer_weights(data, params, config)``, computed here when
     not given; any ``data`` of the same run gives the same weights.
     """
     if weights is None:
         weights = layer_weights(data, params, config)
-    return ad.relu_layers(data.inputs, data.inputs[:, data.width:], weights,
-                          params["cls_w"], params["cls_b"])
+    return ad.relu_layers_logits(data.inputs, data.inputs[:, data.width:],
+                                 [w.data for w in weights], params["cls_w"].data,
+                                 params["cls_b"].data)
+
+
+def loss(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
+         weights: list[Tensor] | None = None) -> Tensor:
+    """Mean cross entropy over every node of ``data``, as one autodiff node.
+
+    ``weights`` as in ``forward``; the logits are those ``forward`` returns.
+    """
+    if weights is None:
+        weights = layer_weights(data, params, config)
+    return ad.relu_layers_loss(data.inputs, data.inputs[:, data.width:], weights,
+                               params["cls_w"], params["cls_b"], data.labels)
 
 
 def loss_on(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
             indices: np.ndarray) -> Tensor:
-    """Mean cross entropy over the nodes ``indices``, from a forward over those rows."""
-    rows = data.take(indices)
-    return ad.mean_cross_entropy(forward(rows, params, config), rows.labels)
+    """Mean cross entropy over the nodes ``indices``, from those rows alone."""
+    return loss(data.take(indices), params, config)
 
 
 def gradients(params: dict[str, Tensor], data: PreparedData, config: TrainConfig,
@@ -326,8 +340,7 @@ def gradients(params: dict[str, Tensor], data: PreparedData, config: TrainConfig
     if indices is None:
         indices = data.split.train
     ad.zero_grads(params.values())
-    loss = loss_on(data, params, config, indices)
-    loss.backward()
+    loss_on(data, params, config, indices).backward()
     return {
         name: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for name, t in params.items()
@@ -397,7 +410,7 @@ def argmax_predict(logits: np.ndarray) -> np.ndarray:
 
 def predict(params: dict[str, Tensor], data: PreparedData, config: TrainConfig,
             weights: list[Tensor] | None = None) -> np.ndarray:
-    return argmax_predict(forward(data, params, config, weights).data)
+    return argmax_predict(forward(data, params, config, weights))
 
 
 def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], dict]:
@@ -419,13 +432,12 @@ def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], d
     best = optimizer.values.copy()
     weights = layer_weights(data, params, config)
     for epoch in range(config.epochs):
-        loss = ad.mean_cross_entropy(forward(train_rows, params, config, weights),
-                                     train_rows.labels)
-        loss_value = float(loss.data)
+        step_loss = loss(train_rows, params, config, weights)
+        loss_value = float(step_loss.data)
         if not np.isfinite(loss_value):
             raise TrainingDivergedError(epoch)
         ad.zero_grads(params.values())
-        loss.backward()
+        step_loss.backward()
         optimizer.step()
         # the parameters only change here: one weight computation serves this
         # step's validation and the next step's loss

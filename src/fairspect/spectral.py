@@ -210,7 +210,7 @@ def top_m_eigenpairs(
         k = m + 2 * (k - m) + 1
     values, vectors = values[order[:m]], vectors[:, order[:m]]
     residuals = _residuals(A, values, vectors)
-    if residuals.max() > tol:
+    if not residuals.max() <= tol:  # a NaN residual fails too
         raise ConvergenceError(
             f"top-{m} eigensolve stalled at max residual {residuals.max():.3e} "
             f"(tol {tol:.1e})",

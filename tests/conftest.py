@@ -3,6 +3,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from fairspect import spectral
 from fairspect.graph import SensitiveColumn, from_edges
 
 
@@ -16,6 +17,20 @@ def no_child_process_left_running():
         child.join(timeout=10)
     if children:
         pytest.fail(f"test left child processes running: {children}")
+
+
+@pytest.fixture
+def nan_eigenvector(monkeypatch):
+    """ARPACK returns its pairs with the first eigenvector all NaN."""
+    solve = spectral._arpack_eigenpairs
+
+    def nan_column(*args):
+        values, vectors = solve(*args)
+        vectors = vectors.copy()
+        vectors[:, 0] = np.nan
+        return values, vectors
+
+    monkeypatch.setattr(spectral, "_arpack_eigenpairs", nan_column)
 
 
 @pytest.fixture

@@ -95,19 +95,34 @@ class TestStructuralOps:
         check_op(lambda a, b: ad.concat_rows(ad.slice_rows(a, 0, 2),
                                              ad.slice_rows(a, 2) @ b), (5, 3), (3, 3))
 
-    @pytest.mark.parametrize("layers", [1, 3])
-    def test_relu_layers(self, layers):
-        rng = np.random.default_rng(9)
-        x, side = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
-        shapes = [(3, 4)] + [(6, 4)] * (layers - 1) + [(4, 2), (2,)]
-        check_op(lambda *t: ad.relu_layers(x, side, t[:-2], t[-2], t[-1]), *shapes, seed=10)
-
     def test_reused_node_accumulates(self):
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         y = (x * x) + (x * 3.0)  # dy/dx = 2x + 3
         out = y @ Tensor(np.ones((2, 1)))
         out.backward()
         assert np.allclose(x.grad, 2 * x.data + 3.0)
+
+
+class TestFusedRowLoss:
+    # hidden 4: one block, and blocks of 2 rows with a ragged last block of 1
+    @pytest.mark.parametrize("block_elements", [ad.BLOCK_ELEMENTS, 8])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_relu_layers_loss(self, layers, block_elements, monkeypatch):
+        """Central finite differences of the loss node, scaled upstream."""
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(9)
+        x, side = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        labels = np.array([0, 1, 1, 0, 1])
+        shapes = [(3, 4)] + [(6, 4)] * (layers - 1) + [(4, 2), (2,)]
+        params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+        def loss():
+            return ad.relu_layers_loss(x, side, params[:-2], params[-2], params[-1], labels)
+
+        (loss() * 3.0).backward()
+        for t in params:
+            numeric = fd_grad(lambda: 3.0 * float(loss().data), t.data)
+            assert np.allclose(t.grad, numeric, atol=1e-6), (t.grad, numeric)
 
 
 class TestAgainstPlainFormulas:

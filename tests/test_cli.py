@@ -506,6 +506,14 @@ class TestConfigAndExitCodes:
         assert code == 1
         assert "error: out of memory" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("nan_eigenvector")
+    def test_nan_eigenvector_is_numerical_failure(self, tmp_path, capsys):
+        edges, attrs = gen_dataset(tmp_path)
+        code = main(["train", "--edges", str(edges), "--attributes", str(attrs),
+                     "--m", "3", "--epochs", "2", "--out_dir", str(tmp_path / "run")])
+        assert code == 2
+        assert "max residual nan" in capsys.readouterr().err
+
     def test_gen_rejects_custom_kind(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "--kind", "custom", "--n", "4",

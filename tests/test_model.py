@@ -185,8 +185,8 @@ class TestSpectralFilter:
         m = data.coeffs.shape[0]
         for weight in layer_weights(other, params, config):
             assert np.all(weight.data[-m:] == 0.0)
-        assert np.array_equal(forward(other, params, config).data,
-                              forward(data, params, config).data)
+        assert np.array_equal(forward(other, params, config),
+                              forward(data, params, config))
 
 
 def unfolded_forward(data, params, config):
@@ -214,15 +214,14 @@ class TestFoldedFusion:
         data = prepare_inputs(graph, attrs, sens, labels, make_split(40, None, 0), config)
         params = init_params(config, data.width)
 
-        def logits_and_grads(run_forward):
-            ad.zero_grads(params.values())
-            logits = run_forward(data, params, config)
-            ad.mean_cross_entropy(logits, data.labels).backward()
-            return logits.data, {name: t.grad for name, t in params.items()}
-
-        logits, grads = logits_and_grads(forward)
-        ref_logits, ref_grads = logits_and_grads(unfolded_forward)
-        assert np.abs(logits - ref_logits).max() <= 1e-12
+        ad.zero_grads(params.values())
+        model.loss(data, params, config).backward()
+        grads = {name: t.grad for name, t in params.items()}
+        ad.zero_grads(params.values())
+        ref_logits = unfolded_forward(data, params, config)
+        ad.mean_cross_entropy(ref_logits, data.labels).backward()
+        ref_grads = {name: t.grad for name, t in params.items()}
+        assert np.abs(forward(data, params, config) - ref_logits.data).max() <= 1e-12
         assert grads.keys() == ref_grads.keys()
         for name, grad in grads.items():
             assert np.any(ref_grads[name] != 0.0), name
@@ -239,63 +238,100 @@ def composed_forward(data, params, config):
     return h @ params["cls_w"] + params["cls_b"]
 
 
-def bits(a):
-    """Float64 values as their bit patterns: -0.0 differs from 0.0, NaN equals itself."""
-    return np.ascontiguousarray(a).view(np.int64)
+def composed_loss_and_grads(data, params, config, scale):
+    """``mean_cross_entropy`` over ``composed_forward``, backward from ``scale``."""
+    ad.zero_grads(params.values())
+    ref = ad.mean_cross_entropy(composed_forward(data, params, config), data.labels)
+    (ref * scale).backward()
+    return float(ref.data), {name: t.grad for name, t in params.items()}
+
+
+def check_against_composed(layers, spectral_fusion, case):
+    """The fused loss node and ``forward`` against the composed network: the
+    loss, every parameter gradient and the logits within 1e-12, and NaN where
+    the reference is NaN."""
+    data, config = desk_fixture(layers=layers, spectral_fusion=spectral_fusion)
+    params = init_params(config, data.width)
+    inputs = data.inputs.copy()
+    if case == "exact_zeros":
+        # a zero row is a zero pre-activation in every layer; a zero weight
+        # column is one in every row
+        inputs[1] = 0.0
+        for layer in range(layers):
+            params[f"fuse_w_{layer}"].data[:, layer] = 0.0
+    elif case == "nan_row":
+        inputs[4] = np.nan
+    data = replace(data, inputs=inputs)
+    ref_value, ref_grads = composed_loss_and_grads(data, params, config, 3.0)
+    ad.zero_grads(params.values())
+    fused = model.loss(data, params, config)
+    (fused * 3.0).backward()
+    grads = {name: t.grad for name, t in params.items()}
+    np.testing.assert_allclose(float(fused.data), ref_value, rtol=0, atol=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+    np.testing.assert_allclose(forward(data, params, config),
+                               composed_forward(data, params, config).data, rtol=0, atol=1e-12)
+    if case == "exact_zeros":
+        assert not np.any(grads["fuse_w_0"][:, 0])
+    assert np.isnan(ref_value) == (case == "nan_row")
+    return data, config, params
 
 
 class TestFusedRowNetwork:
-    """``forward`` is one ``relu_layers`` node, bit for bit its composition."""
+    """``loss`` is one ``relu_layers_loss`` node, its composition up to the
+    rounding of the gradient sums; ``forward`` builds no node."""
 
     @pytest.mark.parametrize("case", ["random", "exact_zeros", "nan_row"])
     @pytest.mark.parametrize("spectral_fusion", [True, False])
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_bit_identical_to_elementary_ops(self, layers, spectral_fusion, case):
-        data, config = desk_fixture(layers=layers, spectral_fusion=spectral_fusion)
-        params = init_params(config, data.width)
-        inputs = data.inputs.copy()
-        if case == "exact_zeros":
-            # a zero row is a zero pre-activation in every layer; a zero weight
-            # column is one in every row
-            inputs[1] = 0.0
-            for layer in range(layers):
-                params[f"fuse_w_{layer}"].data[:, layer] = 0.0
-        elif case == "nan_row":
-            inputs[4] = np.nan
-        data = replace(data, inputs=inputs)
-        # signed upstream gradients: a masked negative entry becomes -0.0
-        coef = Tensor(np.random.default_rng(layers).standard_normal((len(inputs), 2)))
+        check_against_composed(layers, spectral_fusion, case)
 
-        def logits_and_grads(run_forward):
-            ad.zero_grads(params.values())
-            logits = run_forward(data, params, config)
-            total = (logits * coef) @ Tensor(np.ones((2, 1)))
-            (ad.transpose(total) @ Tensor(np.ones((len(inputs), 1)))).backward()
-            return logits.data, {name: t.grad for name, t in params.items()}
-
-        logits, grads = logits_and_grads(forward)
-        ref_logits, ref_grads = logits_and_grads(composed_forward)
-        assert np.array_equal(bits(logits), bits(ref_logits))
-        assert grads.keys() == ref_grads.keys()
-        for name, grad in grads.items():
-            assert (grad is None) == (ref_grads[name] is None), name
-            if grad is not None:
-                assert np.array_equal(bits(grad), bits(ref_grads[name])), name
-        if case == "exact_zeros":
-            assert not np.any(grads["fuse_w_0"][:, 0])
-        assert np.isnan(logits).any() == (case == "nan_row")
+    # hidden 8: one row per block, blocks of 2 rows that split the 6 rows
+    # evenly, and blocks of 4 rows with a ragged last block
+    @pytest.mark.parametrize("block_elements,sizes", [(8, [1] * 6), (16, [2, 2, 2]),
+                                                      (32, [4, 2])])
+    @pytest.mark.parametrize("spectral_fusion", [True, False])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_row_blocks_match_elementary_ops(self, layers, spectral_fusion, block_elements,
+                                             sizes, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", block_elements)
+        for case in ("random", "exact_zeros"):
+            data, config, params = check_against_composed(layers, spectral_fusion, case)
+        weights = [w.data for w in layer_weights(data, params, config)]
+        blocks = ad._row_blocks(data.inputs, data.inputs[:, data.width:], weights,
+                                params["cls_w"].data, params["cls_b"].data)
+        assert [len(logits) for _, _, _, logits in blocks] == sizes
 
     @pytest.mark.parametrize("spectral_fusion", [True, False])
     def test_parents_are_the_weights_and_the_head(self, spectral_fusion):
         data, config = desk_fixture(spectral_fusion=spectral_fusion)
         params = init_params(config, data.width)
         weights = layer_weights(data, params, config)
-        logits = forward(data, params, config, weights)
-        assert logits._parents == (*weights, params["cls_w"], params["cls_b"])
+        assert model.loss(data, params, config, weights)._parents == (
+            *weights, params["cls_w"], params["cls_b"])
+        assert type(forward(data, params, config, weights)) is np.ndarray
 
-    def test_loss_tape_peak_below_three_row_arrays(self):
-        """No rows x hidden pre-activation outlives the forward, and the adjoint
-        masks in place: about two such arrays are alive at the peak."""
+    def test_empty_batch_rejected(self):
+        data, config = desk_fixture()
+        params = init_params(config, data.width)
+        with pytest.raises(ValueError, match="empty batch"):
+            loss_on(data, params, config, np.empty(0, dtype=np.int64))
+
+    def test_nan_row_diverges(self):
+        data, config = separable_toy()
+        inputs = data.inputs.copy()
+        inputs[data.split.train[1]] = np.nan
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            train(replace(data, inputs=inputs), config)
+        assert excinfo.value.epoch == 0
+
+    def test_loss_peak_below_inputs_and_a_few_blocks(self):
+        """No rows x hidden array outlives a block: one loss and its backward
+        hold the taken input rows, a float and a label per row, and a few
+        block arrays of ``BLOCK_ELEMENTS`` floats, whatever the row count."""
         rows, hidden, width = 20_000, 32, 6
         config = TrainConfig(m=4, hidden=hidden, d_m=4, heads=1)
         rng = np.random.default_rng(0)
@@ -308,11 +344,12 @@ class TestFusedRowNetwork:
         params = init_params(config, width)
         tracemalloc.start()
         try:
-            ad.mean_cross_entropy(forward(data, params, config), data.labels).backward()
+            loss_on(data, params, config, data.split.train).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * rows * hidden * 8
+        per_row = data.inputs.shape[1] + 2
+        assert peak < rows * per_row * 8 + 8 * ad.BLOCK_ELEMENTS * 8
 
 
 class TestForward:
@@ -321,36 +358,36 @@ class TestForward:
         params = init_params(config, data.width)
         params["cls_w"].data = np.zeros_like(params["cls_w"].data)
         params["cls_b"].data = np.zeros_like(params["cls_b"].data)
-        logits = forward(data, params, config).data
+        logits = forward(data, params, config)
         assert np.allclose(logits, 0.0)
         assert argmax_predict(logits).tolist() == [0] * 6
 
     def test_node_permutation_equivariance(self):
         data, config = desk_fixture()
         params = init_params(config, data.width)
-        logits = forward(data, params, config).data
+        logits = forward(data, params, config)
         perm = np.array([3, 0, 5, 1, 4, 2])
         # the tokens and P^T H are invariant under a node permutation
         permuted = replace(data, inputs=data.inputs[perm], labels=data.labels[perm])
-        logits_perm = forward(permuted, params, config).data
+        logits_perm = forward(permuted, params, config)
         assert np.allclose(logits_perm, logits[perm], atol=1e-12)
 
     def test_logits_finite(self):
         for spectral in (True, False):
             data, config = desk_fixture(spectral_fusion=spectral)
             params = init_params(config, data.width)
-            assert np.all(np.isfinite(forward(data, params, config).data))
+            assert np.all(np.isfinite(forward(data, params, config)))
 
     @pytest.mark.parametrize("spectral_fusion", [True, False])
     def test_forward_on_taken_rows_matches_full_forward(self, spectral_fusion):
         data, config = desk_fixture(spectral_fusion=spectral_fusion)
         params = init_params(config, data.width)
-        full = forward(data, params, config).data
+        full = forward(data, params, config)
         for rows in (np.array([4, 0, 2]), np.array([5]), np.arange(6)):
             taken = data.take(rows)
             assert np.array_equal(taken.inputs, data.inputs[rows])
             assert np.array_equal(taken.labels, data.labels[rows])
-            assert np.allclose(forward(taken, params, config).data, full[rows],
+            assert np.allclose(forward(taken, params, config), full[rows],
                                rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("classes", [2, 3, 9])
@@ -492,16 +529,19 @@ def two_forward_train(data, config):
 
 class TestTrain:
     def test_each_step_forwards_only_train_and_val_rows(self, monkeypatch):
+        # the loss covers the train rows and the validation forward the val rows
         data, config = separable_toy()
         config.epochs = 20
         rows = []
-        original = model.forward
 
-        def counting_forward(data, *args, **kwargs):
-            rows.append(data.inputs.shape[0])
-            return original(data, *args, **kwargs)
+        def counting(original):
+            def counted(data, *args, **kwargs):
+                rows.append(data.inputs.shape[0])
+                return original(data, *args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(model, "forward", counting_forward)
+        monkeypatch.setattr(model, "loss", counting(model.loss))
+        monkeypatch.setattr(model, "forward", counting(model.forward))
         train(data, config)
         n_train, n_val = len(data.split.train), len(data.split.val)
         assert 0 < n_train + n_val < len(data.labels)

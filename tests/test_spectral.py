@@ -98,6 +98,13 @@ class TestTopMEigenpairs:
         assert excinfo.value.residuals.shape == (3,)
         assert np.all(excinfo.value.residuals > 0)
 
+    @pytest.mark.usefixtures("nan_eigenvector")
+    def test_nan_residual_raises(self):
+        g = random_graph(40, 0.3, seed=9)
+        with pytest.raises(ConvergenceError) as excinfo:
+            top_m_eigenpairs(g, 3)
+        assert np.isnan(excinfo.value.residuals).any()
+
     def test_single_node(self):
         g = from_edges(1, [])
         trunc = top_m_eigenpairs(g, 1)
