@@ -10,11 +10,14 @@ are ``mean_cross_entropy`` and ``relu_layers_loss``: the whole per-row
 network (ReLU fusion layers and the linear head) and its mean cross entropy
 as one node, which streams the rows in blocks of ``BLOCK_ELEMENTS`` and keeps
 only the gradient sums. ``relu_layers_logits`` runs the same block loop for
-prediction and builds no node.
+prediction and builds no node. ``fused`` makes a node from a closed form
+written elsewhere (``model.spectral_stage``).
 
-An adjoint may overwrite an array only if it allocated that array itself,
-and only before handing it on; an array it received or passed to
-``_accumulate`` is never written again.
+A block's arrays are all released before the next block allocates its own,
+so each block reuses the memory the last one freed rather than touching
+fresh memory. An adjoint may overwrite an array only if it allocated that
+array itself, and only before handing it on; an array it received or passed
+to ``_accumulate`` is never written again.
 
 Everything runs in float64. Constants (graph data, eigenvector bases) enter
 as Tensors with ``requires_grad=False`` and receive no gradient.
@@ -25,11 +28,15 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# the constants of ``gelu`` and ``layer_norm_rows``, shared with the closed
+# form of the same stage (``model.spectral_stage``)
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+LAYER_NORM_EPS = 1e-5
 
 # elements of one rows x hidden block of the per-row network: 256 KiB of
-# float64, so a block's arrays stay in a core's L2 cache
+# float64, so a block's arrays, allocated where the last block's were freed,
+# stay in a core's L2 cache
 BLOCK_ELEMENTS = 1 << 15
 
 
@@ -108,6 +115,17 @@ def _make(data, parents, grad_fn) -> Tensor:
         out._parents = tuple(parents)
         out._grad_fn = grad_fn
     return out
+
+
+def fused(data, parents, adjoint) -> Tensor:
+    """A node computed in closed form: ``adjoint(g)`` returns the gradient of
+    each parent, in order, for the upstream gradient ``g``."""
+
+    def grad_fn(g):
+        for parent, grad in zip(parents, adjoint(g)):
+            _accumulate(parent, grad)
+
+    return _make(data, parents, grad_fn)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -227,38 +245,42 @@ def relu(a) -> Tensor:
     return _make(np.maximum(a.data, 0.0), (a,), grad_fn)
 
 
-def _row_blocks(x: np.ndarray, side: np.ndarray, weights, head_w: np.ndarray,
-                head_b: np.ndarray):
-    """The per-row network over blocks of ``BLOCK_ELEMENTS // hidden`` rows.
+def _row_blocks(rows: int, hidden: int) -> list[slice]:
+    """Blocks of ``BLOCK_ELEMENTS // hidden`` rows, the last one ragged."""
+    step = max(1, BLOCK_ELEMENTS // hidden)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
-    Yields, per block, its row slice, each layer's input, the last activation
-    and the logits. h = x, then h = ReLU(inp W) per weight, where inp is x for
-    the first weight and [h | side] after it, then logits = h head_w + head_b.
-    Every ReLU is written over its pre-activation, whose mask ``act > 0`` is
-    the same (also for -0.0 and NaN). An earlier layer's activation is the
-    first columns of the next layer's input.
+
+def _relu_layers(x: np.ndarray, side: np.ndarray, weights):
+    """The ReLU layers over one block of rows: each layer's input, and the last
+    activation.
+
+    h = x, then h = ReLU(inp W) per weight, where inp is x for the first weight
+    and [h | side] after it. Every ReLU is written over its pre-activation,
+    whose mask ``act > 0`` is the same (also for -0.0 and NaN). An earlier
+    layer's activation is the first columns of the next layer's input.
     """
-    step = max(1, BLOCK_ELEMENTS // head_w.shape[0])
-    for start in range(0, len(x), step):
-        rows = slice(start, start + step)
-        inputs = []
-        h = x[rows]
-        for layer, w in enumerate(weights):
-            inputs.append(h if layer == 0 else np.concatenate([h, side[rows]], axis=1))
-            h = inputs[-1] @ w
-            np.maximum(h, 0.0, out=h)
-        yield rows, inputs, h, h @ head_w + head_b
+    inputs = []
+    h = x
+    for layer, w in enumerate(weights):
+        inputs.append(h if layer == 0 else np.concatenate([h, side], axis=1))
+        h = inputs[-1] @ w
+        np.maximum(h, 0.0, out=h)
+    return inputs, h
 
 
 def relu_layers_logits(x: np.ndarray, side: np.ndarray, weights, head_w: np.ndarray,
                        head_b: np.ndarray) -> np.ndarray:
-    """Logits of the per-row network (see ``_row_blocks``), (rows, classes).
+    """Logits of the per-row network, (rows, classes): the ReLU layers
+    (``_relu_layers``), then h head_w + head_b, block by block.
 
     Plain arrays in and out, no node: prediction needs no gradient.
     """
     logits = np.empty((len(x), head_w.shape[1]))
-    for rows, _, _, block_logits in _row_blocks(x, side, weights, head_w, head_b):
-        logits[rows] = block_logits
+    for rows in _row_blocks(len(x), head_w.shape[0]):
+        inputs, h = _relu_layers(x[rows], side[rows], weights)
+        np.add(h @ head_w, head_b, out=logits[rows])
+        del inputs, h
     return logits
 
 
@@ -285,8 +307,11 @@ def relu_layers_loss(x: np.ndarray, side: np.ndarray, weights, head_w, head_b,
     parents = (*weights, head_w, head_b)
     totals = [np.zeros_like(t.data) for t in parents]
     *grad_ws, grad_head_w, grad_head_b = totals
-    for rows, inputs, h, logits in _row_blocks(x, side, [w.data for w in weights],
-                                               head_w.data, head_b.data):
+    arrays = [w.data for w in weights]
+    for rows in _row_blocks(n, hidden):
+        inputs, h = _relu_layers(x[rows], side[rows], arrays)
+        logits = h @ head_w.data
+        logits += head_b.data
         losses[rows], g = _cross_entropy_rows(logits, labels[rows])
         g /= n
         grad_head_w += h.T @ g
@@ -298,21 +323,16 @@ def relu_layers_loss(x: np.ndarray, side: np.ndarray, weights, head_w, head_b,
             np.multiply(gh, acts[layer] > 0, out=gh)
             grad_ws[layer] += inputs[layer].T @ gh
             if layer:
-                gh = gh @ weights[layer].data[:hidden].T
-
-    def grad_fn(g):
-        scale = float(g)
-        for parent, total in zip(parents, totals):
-            _accumulate(parent, scale * total)
-
-    return _make(losses.mean(), parents, grad_fn)
+                gh = gh @ arrays[layer][:hidden].T
+        del inputs, h, logits, g, gh, acts
+    return fused(losses.mean(), parents, lambda g: [float(g) * t for t in totals])
 
 
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU: x * Phi(x)."""
     a = _ensure(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
+    cdf = 0.5 * (1.0 + erf(a.data * INV_SQRT2))
+    pdf = np.exp(-0.5 * a.data * a.data) * INV_SQRT_2PI
 
     def grad_fn(g):
         _accumulate(a, g * (cdf + a.data * pdf))
@@ -332,7 +352,7 @@ def softmax_rows(a) -> Tensor:
     return _make(y, (a,), grad_fn)
 
 
-def layer_norm_rows(a, eps: float = 1e-5) -> Tensor:
+def layer_norm_rows(a, eps: float = LAYER_NORM_EPS) -> Tensor:
     """Normalise each row to zero mean, unit variance (population)."""
     a = _ensure(a)
     mean = a.data.mean(axis=-1, keepdims=True)

@@ -12,17 +12,21 @@ eigenvalues and C = P^T H_padded. The network then runs in two stages:
     per row, shared by both encoders and streamed over row blocks:
         h = H_padded; for each layer, h = ReLU((h || side) W_layer)
         -> linear 2-class head.
-    ``loss`` takes the mean cross entropy of those logits as one autodiff node
-    (``autodiff.relu_layers_loss``) that differentiates each block as it goes,
-    and ``forward`` returns the logits alone (``autodiff.relu_layers_logits``).
+    The first stage is one autodiff node (``spectral_stage``) whose forward and
+    adjoint are written out in closed form. ``loss`` takes the mean cross
+    entropy of the logits as one more node (``autodiff.relu_layers_loss``)
+    that differentiates each block as it goes, and ``forward`` returns the
+    logits alone (``autodiff.relu_layers_logits``). A block's arrays are freed
+    before the next block allocates, so no two blocks' arrays coexist.
 
 Here side is P (the top-m eigenvectors) and W_layer the folded weight. Since
 (H_prev || P diag(g) C) W = (H_prev || P) W_folded, that is the spectral
 filter H_train = P diag(g) P^T H_padded followed by ReLU((H_prev || H_train) W),
 computed without building the (rows, d) filtered array; only the rounding of
-the sums differs. No node enters the first stage, so ``train`` computes it
+the sums differs. The first stage reads no row, so ``train`` computes it
 once per optimiser step and shares it between that step's validation and the
-next step's loss.
+next step's loss. A step's tape is that stage node, a row slice of it per
+layer, and the loss node.
 
 An ablation mode (``spectral_fusion=False``) swaps the eigenbasis filter for a
 plain k-hop adjacency propagation of the padded attributes: side is the k-hop
@@ -40,6 +44,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.special import erf
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -153,63 +158,6 @@ def init_params(config: TrainConfig, feature_width: int,
     return p
 
 
-def attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
-    """Scaled dot-product self-attention for one head.
-
-    Softmax rows over keys sum to one; the scale is the square root of the
-    projection width.
-    """
-    q = x @ w_q
-    k = x @ w_k
-    v = x @ w_v
-    scale = 1.0 / np.sqrt(w_k.data.shape[1])
-    weights = ad.softmax_rows((q @ ad.transpose(k)) * scale)
-    return weights @ v
-
-
-def attention_weights(x: np.ndarray, w_q: np.ndarray, w_k: np.ndarray) -> np.ndarray:
-    """Numpy view of the softmax attention matrix (diagnostics and tests)."""
-    q = x @ w_q
-    k = x @ w_k
-    scores = q @ k.T / np.sqrt(w_k.shape[1])
-    shifted = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return shifted / shifted.sum(axis=-1, keepdims=True)
-
-
-def multi_head_attention(x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    heads = [
-        attention(x, params[f"attn_q_{h}"], params[f"attn_k_{h}"], params[f"attn_v_{h}"])
-        for h in range(sum(name.startswith("attn_q_") for name in params))
-    ]
-    out = heads[0]
-    for h in heads[1:]:
-        out = ad.concat_cols(out, h)
-    return out
-
-
-def _layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    return ad.layer_norm_rows(x) * scale + shift
-
-
-def transformer_block(e_pe: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Pre-norm block: attention and FFN sublayers, each with a residual."""
-    attended = multi_head_attention(
-        _layer_norm(e_pe, params["ln_attn_scale"], params["ln_attn_shift"]), params)
-    e_mha = attended + e_pe
-    hidden = ad.gelu(_layer_norm(e_mha, params["ln_ffn_scale"], params["ln_ffn_shift"])
-                     @ params["ffn_w1"] + params["ffn_b1"])
-    return hidden @ params["ffn_w2"] + params["ffn_b2"] + e_mha
-
-
-def spectral_filter(p_st: Tensor, gates: Tensor, coeffs: Tensor) -> Tensor:
-    """P diag(g) C, with C = P^T H precomputed: one multiplier per eigen-direction.
-
-    ``layer_weights`` folds this product into the fusion weight rather than
-    building it; this unfolded form is the reference the tests compare against.
-    """
-    return p_st @ (gates * coeffs)
-
-
 @dataclass(frozen=True)
 class PreparedData:
     """What the network reads, built once per run by ``prepare_inputs``.
@@ -278,28 +226,119 @@ def prepare_inputs(
                         tokens=tokens, coeffs=coeffs)
 
 
+def _normalise_rows(x: np.ndarray):
+    """Rows at zero mean and unit variance, as ``autodiff.layer_norm_rows``,
+    and the inverse standard deviation per row."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centred ** 2).mean(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+    return centred * inv, inv
+
+
+def spectral_stage(data: PreparedData, params: dict[str, Tensor],
+                   config: TrainConfig) -> list[Tensor]:
+    """The fusion layers' weights under spectral fusion, from one node whose
+    forward and adjoint are written out in closed form.
+
+    The eigen-tokens go through a pre-norm transformer block: an attention
+    sublayer (layer norm, every head, residual) and a GELU FFN sublayer (layer
+    norm, two linear maps, residual). Each layer's gate map turns the result
+    into one gate per eigen-direction, and the filter is folded into the
+    fusion weight, (W_upper ; diag(g) C W_lower). The node's value stacks the
+    layers' weights row-wise, and each weight is a row slice of it. The
+    values are bit-identical to the same stage composed from elementary
+    nodes; the gradients agree up to the order of their sums.
+    """
+    heads = range(config.heads)
+    layers = range(config.layers)
+    names = ([f"attn_{kind}_{h}" for h in heads for kind in "qkv"]
+             + ["ln_attn_scale", "ln_attn_shift", "ln_ffn_scale", "ln_ffn_shift",
+                "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"]
+             + [f"{kind}_{layer}" for layer in layers for kind in ("gate_w", "gate_b", "fuse_w")])
+    p = {name: params[name].data for name in names}
+    tokens, coeffs = data.tokens, data.coeffs
+    m = len(coeffs)
+    d_head = config.d_m // config.heads
+    scale = 1.0 / np.sqrt(d_head)
+
+    y_attn, _ = _normalise_rows(tokens)
+    x = y_attn * p["ln_attn_scale"] + p["ln_attn_shift"]
+    attended = []
+    for h in heads:
+        q, k, v = (x @ p[f"attn_{kind}_{h}"] for kind in "qkv")
+        scores = (q @ k.T) * scale
+        exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = exp / exp.sum(axis=-1, keepdims=True)
+        attended.append((q, k, v, attn, attn @ v))
+    e_mha = np.concatenate([head[-1] for head in attended], axis=1) + tokens
+    y_ffn, inv_ffn = _normalise_rows(e_mha)
+    z = y_ffn * p["ln_ffn_scale"] + p["ln_ffn_shift"]
+    u = z @ p["ffn_w1"] + p["ffn_b1"]
+    cdf = 0.5 * (1.0 + erf(u * ad.INV_SQRT2))
+    f = u * cdf
+    e_gt = f @ p["ffn_w2"] + p["ffn_b2"] + e_mha
+    # per layer: the first row of its weight in the stack, the width of
+    # h_prev, and diag(g) C
+    folds, blocks, start = [], [], 0
+    for layer in layers:
+        fuse_w = p[f"fuse_w_{layer}"]
+        upper = fuse_w.shape[0] - data.width
+        gc = (e_gt @ p[f"gate_w_{layer}"] + p[f"gate_b_{layer}"]) * coeffs
+        folds.append((start, upper, gc))
+        blocks += [fuse_w[:upper], gc @ fuse_w[upper:]]
+        start += upper + m
+
+    def adjoint(grad):
+        grads = {}
+        d_gt = np.zeros_like(e_gt)
+        for layer, (start, upper, gc) in zip(layers, folds):
+            fuse_w, gate_w = p[f"fuse_w_{layer}"], p[f"gate_w_{layer}"]
+            d_lower = grad[start + upper:start + upper + m]
+            grads[f"fuse_w_{layer}"] = np.concatenate([grad[start:start + upper],
+                                                       gc.T @ d_lower])
+            d_gates = ((d_lower @ fuse_w[upper:].T) * coeffs).sum(axis=1, keepdims=True)
+            grads[f"gate_w_{layer}"] = e_gt.T @ d_gates
+            grads[f"gate_b_{layer}"] = d_gates.sum(axis=0)
+            d_gt += d_gates @ gate_w.T
+        grads["ffn_b2"] = d_gt.sum(axis=0)
+        grads["ffn_w2"] = f.T @ d_gt
+        pdf = np.exp(-0.5 * u * u) * ad.INV_SQRT_2PI
+        d_u = (d_gt @ p["ffn_w2"].T) * (cdf + u * pdf)
+        grads["ffn_b1"] = d_u.sum(axis=0)
+        grads["ffn_w1"] = z.T @ d_u
+        d_z = d_u @ p["ffn_w1"].T
+        grads["ln_ffn_scale"] = (d_z * y_ffn).sum(axis=0)
+        grads["ln_ffn_shift"] = d_z.sum(axis=0)
+        d_y = d_z * p["ln_ffn_scale"]
+        d_mha = d_gt + inv_ffn * (d_y - d_y.mean(axis=-1, keepdims=True)
+                                  - y_ffn * (d_y * y_ffn).mean(axis=-1, keepdims=True))
+        d_x = np.zeros_like(x)
+        for h, (q, k, v, attn, _) in zip(heads, attended):
+            d_out = d_mha[:, h * d_head:(h + 1) * d_head]
+            d_attn = d_out @ v.T
+            d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * scale
+            for kind, d in (("q", d_scores @ k), ("k", d_scores.T @ q), ("v", attn.T @ d_out)):
+                grads[f"attn_{kind}_{h}"] = x.T @ d
+                d_x += d @ p[f"attn_{kind}_{h}"].T
+        grads["ln_attn_scale"] = (d_x * y_attn).sum(axis=0)
+        grads["ln_attn_shift"] = d_x.sum(axis=0)
+        return [grads[name] for name in names]
+
+    stage = ad.fused(np.concatenate(blocks), [params[name] for name in names], adjoint)
+    return [ad.slice_rows(stage, start, start + upper + m) for start, upper, _ in folds]
+
+
 def layer_weights(data: PreparedData, params: dict[str, Tensor],
                   config: TrainConfig) -> list[Tensor]:
-    """One weight per fusion layer over [h_prev | side]; no node enters it.
+    """One weight per fusion layer over [h_prev | side].
 
     Without spectral fusion that is ``fuse_w_<layer>`` itself. With it, the
-    eigen-tokens go through the transformer block, each layer's gate map turns
-    them into one gate per eigen-direction, and the filter is folded in:
+    weights come from ``spectral_stage``:
     (h_prev || P diag(g) C) W = (h_prev || P) (W_upper ; diag(g) C W_lower),
     with W split at the width of h_prev.
     """
-    fuse_ws = [params[f"fuse_w_{layer}"] for layer in range(config.layers)]
     if not config.spectral_fusion:
-        return fuse_ws
-    e_gt = transformer_block(Tensor(data.tokens), params)
-    coeffs = Tensor(data.coeffs)
-    weights = []
-    for layer, fuse_w in enumerate(fuse_ws):
-        gates = e_gt @ params[f"gate_w_{layer}"] + params[f"gate_b_{layer}"]
-        width = fuse_w.data.shape[0] - data.width
-        weights.append(ad.concat_rows(ad.slice_rows(fuse_w, 0, width),
-                                      (gates * coeffs) @ ad.slice_rows(fuse_w, width)))
-    return weights
+        return [params[f"fuse_w_{layer}"] for layer in range(config.layers)]
+    return spectral_stage(data, params, config)
 
 
 def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
@@ -351,8 +390,9 @@ class Adam:
     """Adam with L2-style weight decay folded into the gradient.
 
     The values of all tensors live in one flat vector, and each tensor's
-    ``data`` becomes a view into it, so a step is a few operations over that
-    vector rather than a loop of them per tensor. A tensor whose ``data`` is
+    ``data`` becomes a view into it, so a step is a few in-place operations
+    over that vector and one scratch vector rather than a loop of them per
+    tensor. A tensor whose ``data`` is
     later rebound to another array is no longer updated.
     """
 
@@ -374,20 +414,38 @@ class Adam:
             start = stop
         self.first = np.zeros_like(self.values)
         self.second = np.zeros_like(self.values)
+        self._scratch = np.empty_like(self.values)
 
     def step(self):
+        """One update, in place in the flat vectors: the same operations, and
+        so the same bits, as
+
+            grad = grad + weight_decay * values
+            first = beta1 * first + (1 - beta1) * grad
+            second = beta2 * second + (1 - beta2) * grad * grad
+            values -= lr * (first / correction1) / (sqrt(second / correction2) + eps)
+        """
         self.step_count += 1
         correction1 = 1.0 - self.beta1 ** self.step_count
         correction2 = 1.0 - self.beta2 ** self.step_count
         for tensor, view in zip(self.tensors.values(), self._grad_views):
             view[...] = 0.0 if tensor.grad is None else tensor.grad
-        grad = self.grad
+        grad, scratch = self.grad, self._scratch
         if self.weight_decay:
-            grad = grad + self.weight_decay * self.values
-        self.first = self.beta1 * self.first + (1 - self.beta1) * grad
-        self.second = self.beta2 * self.second + (1 - self.beta2) * grad * grad
-        self.values -= self.lr * (self.first / correction1) / (
-            np.sqrt(self.second / correction2) + self.eps)
+            np.multiply(self.values, self.weight_decay, out=scratch)
+            grad += scratch
+        self.first *= self.beta1
+        self.first += np.multiply(grad, 1 - self.beta1, out=scratch)
+        self.second *= self.beta2
+        np.multiply(grad, 1 - self.beta2, out=scratch)
+        self.second += np.multiply(scratch, grad, out=scratch)
+        # grad is spent: it holds the step, scratch its denominator
+        np.divide(self.first, correction1, out=grad)
+        grad *= self.lr
+        np.divide(self.second, correction2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += self.eps
+        self.values -= np.divide(grad, scratch, out=grad)
 
 
 def argmax_predict(logits: np.ndarray) -> np.ndarray:

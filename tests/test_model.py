@@ -15,8 +15,6 @@ from fairspect.model import (
     TrainConfig,
     TrainingDivergedError,
     argmax_predict,
-    attention,
-    attention_weights,
     forward,
     gradients,
     init_params,
@@ -26,12 +24,18 @@ from fairspect.model import (
     predict,
     prepare_inputs,
     save_checkpoint,
-    spectral_filter,
     train,
-    transformer_block,
 )
 from fairspect.spectral import dense_eigendecomposition, top_m_eigenpairs
 from fairspect.synthetic import SyntheticSpec, gen_synthetic
+
+from composed import (
+    attention,
+    attention_weights,
+    composed_layer_weights,
+    spectral_filter,
+    transformer_block,
+)
 
 
 def desk_fixture(missing_rate=0.3, layers=2, hidden=8, d_m=4, heads=2,
@@ -189,6 +193,99 @@ class TestSpectralFilter:
                               forward(data, params, config))
 
 
+def stage_fixture(heads, layers, m):
+    """The stage's inputs with every parameter moved off its initial value, so
+    no gradient is zero by symmetry (unit scales, zero shifts and biases)."""
+    config = TrainConfig(m=m, hidden=5, d_m=4, heads=heads, layers=layers, seed=heads)
+    width = 3
+    rng = np.random.default_rng(10 * m + layers)
+    no_rows = np.empty(0, dtype=np.int64)
+    data = PreparedData(inputs=rng.standard_normal((2, width + m)), width=width,
+                        labels=np.zeros(2, dtype=np.int64),
+                        split=Split(train=no_rows, val=no_rows, test=no_rows),
+                        tokens=eigenvalue_position_encoding(rng.uniform(-3.0, 3.0, m),
+                                                            config.d_m),
+                        coeffs=rng.standard_normal((m, width)))
+    params = init_params(config, width)
+    for t in params.values():
+        t.data = t.data + 0.5 * rng.standard_normal(t.data.shape)
+    probes = [rng.standard_normal(w.data.shape)
+              for w in composed_layer_weights(data, params, config)]
+    # the stage reads every parameter but the head's
+    stage_params = {name: t for name, t in params.items() if not name.startswith("cls_")}
+    return data, config, stage_params, probes
+
+
+def probed_sum(weights, probes):
+    """sum_l <W_l, R_l> as a node: every entry of every weight gets its own slope."""
+    total = None
+    for weight, probe in zip(weights, probes):
+        col = (weight * Tensor(probe)) @ Tensor(np.ones((probe.shape[1], 1)))
+        part = ad.transpose(col) @ Tensor(np.ones((probe.shape[0], 1)))
+        total = part if total is None else total + part
+    return total
+
+
+class TestClosedFormStage:
+    """``spectral_stage`` against the stage composed from elementary nodes."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_matches_composed_stage(self, heads, layers, m):
+        data, config, params, probes = stage_fixture(heads, layers, m)
+        weights = layer_weights(data, params, config)
+        reference = composed_layer_weights(data, params, config)
+        assert len(weights) == layers
+        for weight, ref in zip(weights, reference, strict=True):
+            assert np.array_equal(weight.data, ref.data)
+        ad.zero_grads(params.values())
+        probed_sum(weights, probes).backward()
+        grads = {name: t.grad for name, t in params.items()}
+        ad.zero_grads(params.values())
+        probed_sum(reference, probes).backward()
+        for name, t in params.items():
+            assert grads[name].shape == t.grad.shape, name
+            assert np.abs(grads[name] - t.grad).max() <= 1e-12 * np.abs(t.grad).max(), name
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_gradient_against_fd(self, heads, layers, m):
+        data, config, params, probes = stage_fixture(heads, layers, m)
+
+        def value():
+            return sum(float((w.data * r).sum())
+                       for w, r in zip(layer_weights(data, params, config), probes))
+
+        ad.zero_grads(params.values())
+        probed_sum(layer_weights(data, params, config), probes).backward()
+        for name, t in params.items():
+            analytic = t.grad.copy()
+            numeric = np.zeros_like(t.data)
+            for at in np.ndindex(t.data.shape):
+                orig = t.data[at]
+                t.data[at] = orig + 1e-6
+                plus = value()
+                t.data[at] = orig - 1e-6
+                minus = value()
+                t.data[at] = orig
+                numeric[at] = (plus - minus) / 2e-6
+            assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-7), name
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_one_node_over_the_parameters(self, layers):
+        # each weight is a row slice of the one stage node, whose parents are
+        # the parameters themselves
+        data, config, params, _ = stage_fixture(2, layers, 3)
+        weights = layer_weights(data, params, config)
+        stages = {id(w._parents[0]) for w in weights}
+        assert len(stages) == 1 and all(len(w._parents) == 1 for w in weights)
+        parents = weights[0]._parents[0]._parents
+        assert {id(t) for t in parents} == {id(t) for t in params.values()}
+        assert len(parents) == len(params)
+
+
 def unfolded_forward(data, params, config):
     """Reference forward: build the filtered attributes P diag(g) C, then
     concatenate them to h_prev and mix with ``fuse_w``, layer by layer."""
@@ -300,10 +397,8 @@ class TestFusedRowNetwork:
         monkeypatch.setattr(ad, "BLOCK_ELEMENTS", block_elements)
         for case in ("random", "exact_zeros"):
             data, config, params = check_against_composed(layers, spectral_fusion, case)
-        weights = [w.data for w in layer_weights(data, params, config)]
-        blocks = ad._row_blocks(data.inputs, data.inputs[:, data.width:], weights,
-                                params["cls_w"].data, params["cls_b"].data)
-        assert [len(logits) for _, _, _, logits in blocks] == sizes
+        blocks = ad._row_blocks(len(data.inputs), config.hidden)
+        assert [len(data.inputs[rows]) for rows in blocks] == sizes
 
     @pytest.mark.parametrize("spectral_fusion", [True, False])
     def test_parents_are_the_weights_and_the_head(self, spectral_fusion):
@@ -328,12 +423,19 @@ class TestFusedRowNetwork:
             train(replace(data, inputs=inputs), config)
         assert excinfo.value.epoch == 0
 
-    def test_loss_peak_below_inputs_and_a_few_blocks(self):
-        """No rows x hidden array outlives a block: one loss and its backward
-        hold the taken input rows, a float and a label per row, and a few
-        block arrays of ``BLOCK_ELEMENTS`` floats, whatever the row count."""
-        rows, hidden, width = 20_000, 32, 6
-        config = TrainConfig(m=4, hidden=hidden, d_m=4, heads=1)
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def many_rows():
+        rows, width = 20_000, 6
+        config = TrainConfig(m=4, hidden=32, d_m=4, heads=1)
         rng = np.random.default_rng(0)
         no_rows = np.empty(0, dtype=np.int64)
         data = PreparedData(inputs=rng.standard_normal((rows, width + config.m)),
@@ -341,15 +443,28 @@ class TestFusedRowNetwork:
                             split=Split(train=np.arange(rows), val=no_rows, test=no_rows),
                             tokens=rng.standard_normal((config.m, config.d_m)),
                             coeffs=rng.standard_normal((config.m, width)))
-        params = init_params(config, width)
-        tracemalloc.start()
-        try:
-            loss_on(data, params, config, data.split.train).backward()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        return data, config, init_params(config, width)
+
+    def test_loss_peak_below_inputs_and_a_few_blocks(self):
+        """A block's arrays are freed before the next block allocates: one loss
+        and its backward hold the taken input rows, a float and a label per row,
+        and one block's arrays. Those are its activation h and its gradient gh,
+        ``BLOCK_ELEMENTS`` floats each, and arrays that are all smaller than a
+        third: the ReLU mask, its cast and the arrays as wide as the logits."""
+        data, config, params = self.many_rows()
+        peak = self.traced_peak(
+            lambda: loss_on(data, params, config, data.split.train).backward())
         per_row = data.inputs.shape[1] + 2
-        assert peak < rows * per_row * 8 + 8 * ad.BLOCK_ELEMENTS * 8
+        assert peak < len(data.labels) * per_row * 8 + 3 * ad.BLOCK_ELEMENTS * 8
+
+    def test_forward_peak_below_logits_and_one_block(self):
+        """``forward`` holds the logits and one block's arrays: its activation h,
+        ``BLOCK_ELEMENTS`` floats, and arrays that add up to less than half of
+        that: those as wide as the logits, and the stage's few rows."""
+        data, config, params = self.many_rows()
+        peak = self.traced_peak(lambda: forward(data, params, config))
+        classes = params["cls_w"].data.shape[1]
+        assert peak < len(data.labels) * classes * 8 + 1.5 * ad.BLOCK_ELEMENTS * 8
 
 
 class TestForward:
@@ -548,13 +663,13 @@ class TestTrain:
         assert rows == [n_train, n_val] * config.epochs
 
     def test_transformer_runs_once_per_optimiser_step(self, monkeypatch):
-        # once before the first step and once after each: validation and the
-        # next step's loss share one weight computation
+        # the stage runs once before the first step and once after each:
+        # validation and the next step's loss share one weight computation
         data, config = separable_toy()
         config.epochs = 12
         calls = []
-        original = model.transformer_block
-        monkeypatch.setattr(model, "transformer_block",
+        original = model.spectral_stage
+        monkeypatch.setattr(model, "spectral_stage",
                             lambda *args: calls.append(1) or original(*args))
         train(data, config)
         assert len(calls) == config.epochs + 1
@@ -659,6 +774,32 @@ class TestAdamAndCheckpoint:
                     np.sqrt(second[k] / (1.0 - beta2 ** step)) + eps)
             for k, t in tensors.items():
                 assert np.array_equal(t.data, ref[k]), (step, k)
+
+    @pytest.mark.parametrize("decay", [0.0, 5e-4])
+    def test_in_place_step_matches_expression(self, decay):
+        """The step runs in place, allocating nothing the size of the flat
+        vector, and gives the bits of the plain expression."""
+        rng = np.random.default_rng(13)
+        size = 100_000
+        t = Tensor(rng.standard_normal(size), requires_grad=True)
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        values, first, second = t.data.copy(), np.zeros(size), np.zeros(size)
+        opt = Adam({"t": t}, lr=lr, weight_decay=decay)
+        for step in range(1, 21):
+            t.grad = rng.standard_normal(size)
+            g = t.grad + decay * values if decay else t.grad
+            first = beta1 * first + (1 - beta1) * g
+            second = beta2 * second + (1 - beta2) * g * g
+            values -= lr * (first / (1.0 - beta1 ** step)) / (
+                np.sqrt(second / (1.0 - beta2 ** step)) + eps)
+            tracemalloc.start()
+            try:
+                opt.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < size * 8 // 4
+            assert np.array_equal(t.data, values), step
 
     def test_checkpoint_round_trip(self, tmp_path):
         data, config = desk_fixture()
