@@ -160,6 +160,18 @@ def _grid_flag(kind: type, items: str):
     return parse
 
 
+def _reject_repeated_cells(args, key: str, values: list, label):
+    """A usage error if two values of the sweep grid ``key`` are equal or
+    ``label`` prints them alike: their cells would share a report name."""
+    for index, value in enumerate(values):
+        for earlier in values[:index]:
+            if earlier == value or label(earlier) == label(value):
+                source = (f"--{key}" if getattr(args, key, None) is not None
+                          else f"config key {key!r}")
+                raise ValueError(f"{source} lists {earlier!r} and {value!r}: "
+                                 "two sweep cells would share a report")
+
+
 def _atomic_write_text(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -422,6 +434,9 @@ def cmd_sweep(args) -> int:
     for rate in rates:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"missing rate {rate} outside [0, 1)")
+    # a report is named by the rate as printed under :g and the seed
+    _reject_repeated_cells(args, "missing_rates", rates, lambda rate: f"{rate:g}")
+    _reject_repeated_cells(args, "seeds", seeds, str)
     graph, attrs, sensitive, labels, dataset = _load_dataset(merged)
     out_dir = Path(merged.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -491,6 +506,21 @@ def cmd_verify(args) -> int:
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    computed: dict = {}
+
+    def checked_series(variant: str, index: int):
+        """The limit check of battery graph ``index``, computed once per
+        variant; None where the graph is outside the variant's premises."""
+        if (variant, index) not in computed:
+            _, graph, sensitive, oracle = battery[index]
+            try:
+                computed[variant, index] = limit_check(variant, graph, sensitive,
+                                                       k_max=args.k_max, trunc=oracle)
+            except (RepeatedDominantError, DegenerateAlignmentError,
+                    DegenerateVectorError):
+                computed[variant, index] = None
+        return computed[variant, index]
+
     rows = []
     summary: dict = {}
     for variant in variants:
@@ -498,12 +528,9 @@ def cmd_verify(args) -> int:
                  "max_residual": 0.0}
         if variant == "thm3":
             stats["max_gap"] = 0.0
-        for graph_id, graph, sensitive, oracle in battery:
-            try:
-                series = limit_check(variant, graph, sensitive,
-                                     k_max=args.k_max, trunc=oracle)
-            except (RepeatedDominantError, DegenerateAlignmentError,
-                    DegenerateVectorError):
+        for index, (graph_id, graph, _, _) in enumerate(battery):
+            series = checked_series(variant, index)
+            if series is None:
                 stats["skipped"] += 1
                 continue
             stats["graphs"] += 1
@@ -528,15 +555,15 @@ def cmd_verify(args) -> int:
         summary[variant] = stats
 
     decay = {"checked": 0, "passed": 0, "failed": 0, "skipped": 0}
-    for graph_id, graph, sensitive, oracle in battery:
-        if oracle is None:
+    # the thm1 series of the variant loop, when it ran thm1
+    for index, (_, _, _, oracle) in enumerate(battery):
+        series = None if oracle is None else checked_series("thm1", index)
+        if series is None:
             decay["skipped"] += 1
             continue
         try:
-            series = limit_check("thm1", graph, sensitive, k_max=args.k_max, trunc=oracle)
             empirical, predicted = estimate_decay_rate(series, oracle)
-        except (RepeatedDominantError, DegenerateAlignmentError,
-                DegenerateVectorError, NotEstimableError):
+        except NotEstimableError:
             decay["skipped"] += 1
             continue
         usable = series.residuals[series.residuals > 1e-12]

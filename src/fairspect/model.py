@@ -54,6 +54,10 @@ from .spectral import SpectralTruncation, top_m_eigenpairs
 
 CHECKPOINT_FORMAT_VERSION = 1
 FFN_WIDTH_FACTOR = 4
+# the constants of the stage's exact GELU and its layer norms
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+LAYER_NORM_EPS = 1e-5
 
 
 class TrainingDivergedError(RuntimeError):
@@ -227,10 +231,10 @@ def prepare_inputs(
 
 
 def _normalise_rows(x: np.ndarray):
-    """Rows at zero mean and unit variance, as ``autodiff.layer_norm_rows``,
-    and the inverse standard deviation per row."""
+    """Rows at zero mean and unit variance (population variance), and the
+    inverse standard deviation per row."""
     centred = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centred ** 2).mean(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+    inv = 1.0 / np.sqrt((centred ** 2).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
     return centred * inv, inv
 
 
@@ -273,7 +277,7 @@ def spectral_stage(data: PreparedData, params: dict[str, Tensor],
     y_ffn, inv_ffn = _normalise_rows(e_mha)
     z = y_ffn * p["ln_ffn_scale"] + p["ln_ffn_shift"]
     u = z @ p["ffn_w1"] + p["ffn_b1"]
-    cdf = 0.5 * (1.0 + erf(u * ad.INV_SQRT2))
+    cdf = 0.5 * (1.0 + erf(u * INV_SQRT2))
     f = u * cdf
     e_gt = f @ p["ffn_w2"] + p["ffn_b2"] + e_mha
     # per layer: the first row of its weight in the stack, the width of
@@ -301,7 +305,7 @@ def spectral_stage(data: PreparedData, params: dict[str, Tensor],
             d_gt += d_gates @ gate_w.T
         grads["ffn_b2"] = d_gt.sum(axis=0)
         grads["ffn_w2"] = f.T @ d_gt
-        pdf = np.exp(-0.5 * u * u) * ad.INV_SQRT_2PI
+        pdf = np.exp(-0.5 * u * u) * INV_SQRT_2PI
         d_u = (d_gt @ p["ffn_w2"].T) * (cdf + u * pdf)
         grads["ffn_b1"] = d_u.sum(axis=0)
         grads["ffn_w1"] = z.T @ d_u

@@ -1,14 +1,17 @@
 """The row-independent stage composed from elementary autodiff nodes.
 
 ``model.spectral_stage`` runs this stage as one node in closed form; the tests
-hold its values and gradients against the composition here, whose every
-adjoint is checked against finite differences in ``test_autodiff.py``.
+hold its values and gradients against the composition here, built from the
+operations of ``elementary.py``, whose every adjoint is checked against
+finite differences in ``test_autodiff.py``.
 """
 
 import numpy as np
 
-from fairspect import autodiff as ad
-from fairspect.autodiff import Tensor
+from fairspect.autodiff import slice_rows
+
+import elementary as ops
+from elementary import Tensor
 
 
 def attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
@@ -21,7 +24,7 @@ def attention(x: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor) -> Tensor:
     k = x @ w_k
     v = x @ w_v
     scale = 1.0 / np.sqrt(w_k.data.shape[1])
-    weights = ad.softmax_rows((q @ ad.transpose(k)) * scale)
+    weights = ops.softmax_rows((q @ ops.transpose(k)) * scale)
     return weights @ v
 
 
@@ -41,12 +44,12 @@ def multi_head_attention(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     ]
     out = heads[0]
     for h in heads[1:]:
-        out = ad.concat_cols(out, h)
+        out = ops.concat_cols(out, h)
     return out
 
 
 def _layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
-    return ad.layer_norm_rows(x) * scale + shift
+    return ops.layer_norm_rows(x) * scale + shift
 
 
 def transformer_block(e_pe: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -54,8 +57,8 @@ def transformer_block(e_pe: Tensor, params: dict[str, Tensor]) -> Tensor:
     attended = multi_head_attention(
         _layer_norm(e_pe, params["ln_attn_scale"], params["ln_attn_shift"]), params)
     e_mha = attended + e_pe
-    hidden = ad.gelu(_layer_norm(e_mha, params["ln_ffn_scale"], params["ln_ffn_shift"])
-                     @ params["ffn_w1"] + params["ffn_b1"])
+    hidden = ops.gelu(_layer_norm(e_mha, params["ln_ffn_scale"], params["ln_ffn_shift"])
+                      @ params["ffn_w1"] + params["ffn_b1"])
     return hidden @ params["ffn_w2"] + params["ffn_b2"] + e_mha
 
 
@@ -77,6 +80,6 @@ def composed_layer_weights(data, params: dict[str, Tensor], config) -> list[Tens
         fuse_w = params[f"fuse_w_{layer}"]
         gates = e_gt @ params[f"gate_w_{layer}"] + params[f"gate_b_{layer}"]
         width = fuse_w.data.shape[0] - data.width
-        weights.append(ad.concat_rows(ad.slice_rows(fuse_w, 0, width),
-                                      (gates * coeffs) @ ad.slice_rows(fuse_w, width)))
+        weights.append(ops.concat_rows(slice_rows(fuse_w, 0, width),
+                                       (gates * coeffs) @ slice_rows(fuse_w, width)))
     return weights

@@ -1,10 +1,13 @@
-"""Every adjoint is checked against central finite differences."""
+"""Every adjoint is checked against central finite differences: the
+program's nodes and the elementary operations of the tests' reference."""
 
 import numpy as np
 import pytest
 
 from fairspect import autodiff as ad
-from fairspect.autodiff import Tensor
+
+import elementary as ops
+from elementary import Tensor
 
 
 def fd_grad(f, x, h=1e-6):
@@ -38,9 +41,9 @@ def check_op(build, *shapes, seed=0, tol=1e-6):
     def scalar():
         return float((build(*tensors).data * weights).sum())
 
-    weighted = build(*tensors) * Tensor(weights)
+    weighted = ops.mul(build(*tensors), Tensor(weights))
     col = weighted @ Tensor(np.ones((weighted.data.shape[1], 1)))
-    total = ad.transpose(col) @ Tensor(np.ones((col.data.shape[0], 1)))
+    total = ops.transpose(col) @ Tensor(np.ones((col.data.shape[0], 1)))
     total.backward()
     for t in tensors:
         numeric = fd_grad(scalar, t.data)
@@ -62,16 +65,16 @@ class TestElementwiseOps:
         check_op(lambda a, b: a * b, (4, 3), (4, 1))
 
     def test_relu(self):
-        check_op(ad.relu, (4, 4), seed=3)
+        check_op(ops.relu, (4, 4), seed=3)
 
     def test_gelu(self):
-        check_op(ad.gelu, (4, 4), seed=4)
+        check_op(ops.gelu, (4, 4), seed=4)
 
     def test_softmax(self):
-        check_op(ad.softmax_rows, (3, 5), seed=5)
+        check_op(ops.softmax_rows, (3, 5), seed=5)
 
     def test_layer_norm(self):
-        check_op(ad.layer_norm_rows, (4, 6), seed=6)
+        check_op(ops.layer_norm_rows, (4, 6), seed=6)
 
 
 class TestStructuralOps:
@@ -79,21 +82,22 @@ class TestStructuralOps:
         check_op(lambda a, b: a @ b, (3, 4), (4, 2))
 
     def test_transpose(self):
-        check_op(ad.transpose, (3, 5))
+        check_op(ops.transpose, (3, 5))
 
     def test_concat_cols(self):
-        check_op(ad.concat_cols, (3, 2), (3, 4))
+        check_op(ops.concat_cols, (3, 2), (3, 4))
 
     def test_concat_rows(self):
-        check_op(ad.concat_rows, (2, 3), (4, 3))
+        check_op(ops.concat_rows, (2, 3), (4, 3))
 
     @pytest.mark.parametrize("start,stop", [(0, 2), (2, None), (1, 4)])
     def test_slice_rows(self, start, stop):
         check_op(lambda a: ad.slice_rows(a, start, stop), (5, 3))
 
     def test_slices_of_one_tensor_accumulate(self):
-        check_op(lambda a, b: ad.concat_rows(ad.slice_rows(a, 0, 2),
-                                             ad.slice_rows(a, 2) @ b), (5, 3), (3, 3))
+        check_op(lambda a, b: ops.concat_rows(ad.slice_rows(a, 0, 2),
+                                              ops.matmul(ad.slice_rows(a, 2), b)),
+                 (5, 3), (3, 3))
 
     def test_reused_node_accumulates(self):
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
@@ -119,7 +123,7 @@ class TestFusedRowLoss:
         def loss():
             return ad.relu_layers_loss(x, side, params[:-2], params[-2], params[-1], labels)
 
-        (loss() * 3.0).backward()
+        ops.mul(loss(), 3.0).backward()
         for t in params:
             numeric = fd_grad(lambda: 3.0 * float(loss().data), t.data)
             assert np.allclose(t.grad, numeric, atol=1e-6), (t.grad, numeric)
@@ -132,8 +136,8 @@ class TestAgainstPlainFormulas:
         x = np.array([[-2.0, -0.0, 0.0, 1e-300], [3.5, -1e-300, 0.0, -4.0]])
         weights = np.arange(1.0, 9.0).reshape(2, 4)
         a = Tensor(x, requires_grad=True)
-        out = ad.relu(a)
-        (ad.transpose((out * Tensor(weights)) @ Tensor(np.ones((4, 1))))
+        out = ops.relu(a)
+        (ops.transpose((out * Tensor(weights)) @ Tensor(np.ones((4, 1))))
          @ Tensor(np.ones((2, 1)))).backward()
         assert np.array_equal(out.data, x * (x > 0))
         assert np.array_equal(a.grad, weights * (x > 0))
@@ -153,7 +157,7 @@ class TestAgainstPlainFormulas:
         probs[np.arange(7), labels] -= 1.0
         expected_grad = 3.0 * probs / 7
         t = Tensor(logits, requires_grad=True)
-        loss = ad.mean_cross_entropy(t, labels)
+        loss = ops.mean_cross_entropy(t, labels)
         (loss * 3.0).backward()
         assert float(loss.data) == expected_loss
         assert np.array_equal(t.grad, expected_grad)
@@ -193,7 +197,7 @@ class TestCrossEntropyByColumns:
 
     def loss_and_grad(self, logits, labels, scale):
         t = Tensor(logits, requires_grad=True)
-        loss = ad.mean_cross_entropy(t, labels)
+        loss = ops.mean_cross_entropy(t, labels)
         (loss * scale).backward()
         return float(loss.data), t.grad
 
@@ -219,7 +223,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(8)
         logits = rng.standard_normal((6, 2))
         labels = rng.integers(0, 2, size=6)
-        loss = ad.mean_cross_entropy(Tensor(logits), labels)
+        loss = ops.mean_cross_entropy(Tensor(logits), labels)
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         expected = -log_probs[np.arange(6), labels].mean()
@@ -231,9 +235,9 @@ class TestCrossEntropy:
         labels = rng.integers(0, 3, size=5)
 
         def scalar():
-            return float(ad.mean_cross_entropy(logits, labels).data)
+            return float(ops.mean_cross_entropy(logits, labels).data)
 
-        loss = ad.mean_cross_entropy(logits, labels)
+        loss = ops.mean_cross_entropy(logits, labels)
         loss.backward()
         numeric = fd_grad(scalar, logits.data)
         assert np.allclose(logits.grad, numeric, atol=1e-6)
@@ -242,10 +246,10 @@ class TestCrossEntropy:
         rng = np.random.default_rng(10)
         logits = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         labels = np.array([0, 1, 1, 0])
-        ad.mean_cross_entropy(logits, labels).backward()
+        ops.mean_cross_entropy(logits, labels).backward()
         g1 = logits.grad.copy()
         logits.grad = None
-        (ad.mean_cross_entropy(logits, labels) * 2.0).backward()
+        (ops.mean_cross_entropy(logits, labels) * 2.0).backward()
         assert np.allclose(logits.grad, 2.0 * g1, rtol=1e-14)
 
     def test_backward_requires_scalar(self):
@@ -256,13 +260,25 @@ class TestCrossEntropy:
     def test_empty_batch_rejected(self):
         logits = Tensor(np.empty((0, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="empty batch"):
-            ad.mean_cross_entropy(logits, np.empty(0, dtype=np.int64))
+            ops.mean_cross_entropy(logits, np.empty(0, dtype=np.int64))
 
     def test_constants_receive_no_grad(self):
         const = Tensor(np.ones((2, 2)))
         var = Tensor(np.ones((2, 2)), requires_grad=True)
         out = (const * var) @ Tensor(np.ones((2, 1)))
-        scalar = ad.transpose(out) @ Tensor(np.ones((2, 1)))
+        scalar = ops.transpose(out) @ Tensor(np.ones((2, 1)))
         scalar.backward()
         assert const.grad is None
         assert var.grad is not None
+
+
+def test_package_holds_the_program_nodes_only():
+    """The elementary operations and the Tensor arithmetic live in the tests'
+    reference (``elementary.py``); the package keeps what training runs."""
+    for name in ("add", "mul", "matmul", "transpose", "concat_cols", "concat_rows", "relu",
+                 "gelu", "softmax_rows", "layer_norm_rows", "mean_cross_entropy", "_ensure",
+                 "_unbroadcast"):
+        assert not hasattr(ad, name), name
+    for method in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__",
+                   "__matmul__"):
+        assert not hasattr(ad.Tensor, method), method

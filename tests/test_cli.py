@@ -3,6 +3,7 @@ import json
 import os
 import pickle
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -194,6 +195,38 @@ class TestSweep:
                      "--mask", str(mask), "--out_dir", str(tmp_path / "sw")])
         assert code == 1
 
+    @pytest.mark.parametrize("grid,shown", [
+        (["--missing_rates", "0.3,0.30", "--seeds", "0,0"], "--missing_rates lists 0.3 and 0.3"),
+        (["--missing_rates", "0.1,0.1000001"], "--missing_rates lists 0.1 and 0.1000001"),
+        (["--missing_rates", "0.2", "--seeds", "1,2,1"], "--seeds lists 1 and 1"),
+    ])
+    def test_repeated_cell_is_usage_error_naming_the_flag(self, tmp_path, capsys, grid, shown):
+        # 0.1 and 0.1000001 both print as 0.1 in a report name
+        edges, attrs = write_k3(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
+                     "--out_dir", str(out), "--epochs", "2", *grid])
+        assert code == 1
+        assert f"error: {shown}: two sweep cells would share a report" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any cell trains
+
+    @pytest.mark.parametrize("key,value,shown", [
+        ("missing_rates", [0.3, 0.30], "0.3 and 0.3"),
+        ("missing_rates", "0.1,0.1000001", "0.1 and 0.1000001"),
+        ("seeds", [0, 0], "0 and 0"),
+    ])
+    def test_repeated_cell_is_usage_error_naming_the_config_key(self, tmp_path, capsys,
+                                                                 key, value, shown):
+        edges, attrs = write_k3(tmp_path)
+        out = tmp_path / "sweep"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"edges": str(edges), "attributes": str(attrs),
+                                      "out_dir": str(out), "epochs": 2, key: value}))
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert (f"error: config key '{key}' lists {shown}: two sweep cells would share a report"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_second_cell_diverging_in_pool_exits_2_like_train(self, tmp_path, capsys,
                                                               monkeypatch):
         use_cpus(monkeypatch, 2, blas_threads="1")
@@ -348,6 +381,27 @@ class TestVerify:
         summary = json.loads((out / "verify_summary.json").read_text())
         assert summary["ok"]
         assert summary["multiplicity"]["checked"] == 3
+
+    @pytest.mark.parametrize("variants", ["lemma1,thm1,thm2,thm3", "lemma1,thm3"])
+    def test_each_series_is_computed_once_per_graph(self, tmp_path, monkeypatch, variants):
+        """The decay check reads the thm1 series the variant loop built, and
+        builds it itself only when thm1 is not among the variants."""
+        calls = []
+        check = fairspect.cli.limit_check
+
+        def counted(variant, *args, **kwargs):
+            calls.append(variant)
+            return check(variant, *args, **kwargs)
+
+        monkeypatch.setattr(fairspect.cli, "limit_check", counted)
+        out = tmp_path / "verify"
+        assert main(["verify", "--suite_size", "3", "--k_max", "40", "--variants", variants,
+                     "--multiplicity_count", "0", "--out_dir", str(out)]) == 0
+        summary = json.loads((out / "verify_summary.json").read_text())
+        # three graphs, each checked once per variant, and by thm1 for the decay
+        assert Counter(calls) == {variant: 3 for variant in {*variants.split(","), "thm1"}}
+        assert summary["decay"] == {"checked": 3, "passed": 3, "failed": 0, "skipped": 0,
+                                    "pass": True}
 
     def test_attributes_without_edges_is_usage_error(self, tmp_path, capsys):
         # the synthetic battery would run and never open either file

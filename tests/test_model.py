@@ -6,7 +6,6 @@ import pytest
 
 from fairspect import autodiff as ad
 from fairspect import model
-from fairspect.autodiff import Tensor
 from fairspect.encoding import eigenvalue_position_encoding, propagate_k_hop, zero_pad
 from fairspect.graph import Split, apply_missing_mask, make_split
 from fairspect.model import (
@@ -29,6 +28,7 @@ from fairspect.model import (
 from fairspect.spectral import dense_eigendecomposition, top_m_eigenpairs
 from fairspect.synthetic import SyntheticSpec, gen_synthetic
 
+import elementary as ops
 from composed import (
     attention,
     attention_weights,
@@ -36,6 +36,7 @@ from composed import (
     spectral_filter,
     transformer_block,
 )
+from elementary import Tensor
 
 
 def desk_fixture(missing_rate=0.3, layers=2, hidden=8, d_m=4, heads=2,
@@ -120,7 +121,7 @@ class TestAttention:
         wk = rng.standard_normal((d_m, 4))
         wv1 = rng.standard_normal((d_m, 4))
         wv2 = rng.standard_normal((d_m, 4))
-        multi = ad.concat_cols(
+        multi = ops.concat_cols(
             attention(x, Tensor(wq), Tensor(wk), Tensor(wv1)),
             attention(x, Tensor(wq), Tensor(wk), Tensor(wv2)),
         )
@@ -220,8 +221,8 @@ def probed_sum(weights, probes):
     """sum_l <W_l, R_l> as a node: every entry of every weight gets its own slope."""
     total = None
     for weight, probe in zip(weights, probes):
-        col = (weight * Tensor(probe)) @ Tensor(np.ones((probe.shape[1], 1)))
-        part = ad.transpose(col) @ Tensor(np.ones((probe.shape[0], 1)))
+        col = ops.mul(weight, Tensor(probe)) @ Tensor(np.ones((probe.shape[1], 1)))
+        part = ops.transpose(col) @ Tensor(np.ones((probe.shape[0], 1)))
         total = part if total is None else total + part
     return total
 
@@ -295,7 +296,7 @@ def unfolded_forward(data, params, config):
     for layer in range(config.layers):
         gates = e_gt @ params[f"gate_w_{layer}"] + params[f"gate_b_{layer}"]
         filtered = spectral_filter(p_st, gates, coeffs)
-        h = ad.relu(ad.concat_cols(h, filtered) @ params[f"fuse_w_{layer}"])
+        h = ops.relu(ops.concat_cols(h, filtered) @ params[f"fuse_w_{layer}"])
     return h @ params["cls_w"] + params["cls_b"]
 
 
@@ -316,7 +317,7 @@ class TestFoldedFusion:
         grads = {name: t.grad for name, t in params.items()}
         ad.zero_grads(params.values())
         ref_logits = unfolded_forward(data, params, config)
-        ad.mean_cross_entropy(ref_logits, data.labels).backward()
+        ops.mean_cross_entropy(ref_logits, data.labels).backward()
         ref_grads = {name: t.grad for name, t in params.items()}
         assert np.abs(forward(data, params, config) - ref_logits.data).max() <= 1e-12
         assert grads.keys() == ref_grads.keys()
@@ -331,14 +332,14 @@ def composed_forward(data, params, config):
     side = Tensor(data.inputs[:, data.width:])
     h = Tensor(data.inputs)
     for layer, weight in enumerate(layer_weights(data, params, config)):
-        h = ad.relu((h if layer == 0 else ad.concat_cols(h, side)) @ weight)
+        h = ops.relu((h if layer == 0 else ops.concat_cols(h, side)) @ weight)
     return h @ params["cls_w"] + params["cls_b"]
 
 
 def composed_loss_and_grads(data, params, config, scale):
     """``mean_cross_entropy`` over ``composed_forward``, backward from ``scale``."""
     ad.zero_grads(params.values())
-    ref = ad.mean_cross_entropy(composed_forward(data, params, config), data.labels)
+    ref = ops.mean_cross_entropy(composed_forward(data, params, config), data.labels)
     (ref * scale).backward()
     return float(ref.data), {name: t.grad for name, t in params.items()}
 
@@ -362,7 +363,7 @@ def check_against_composed(layers, spectral_fusion, case):
     ref_value, ref_grads = composed_loss_and_grads(data, params, config, 3.0)
     ad.zero_grads(params.values())
     fused = model.loss(data, params, config)
-    (fused * 3.0).backward()
+    ops.mul(fused, 3.0).backward()
     grads = {name: t.grad for name, t in params.items()}
     np.testing.assert_allclose(float(fused.data), ref_value, rtol=0, atol=1e-12)
     assert grads.keys() == ref_grads.keys()
@@ -594,7 +595,7 @@ class TestGradients:
         loss_on(data, params, config, data.split.train).backward()
         singles = {k: t.grad.copy() for k, t in params.items()}
         ad.zero_grads(params.values())
-        (loss_on(data, params, config, data.split.train) * 2.0).backward()
+        ops.mul(loss_on(data, params, config, data.split.train), 2.0).backward()
         for k, t in params.items():
             assert np.allclose(t.grad, 2.0 * singles[k], rtol=1e-13, atol=0)
 
