@@ -121,7 +121,6 @@ class FairnessReport:
     delta_sp: float
     delta_eo: float
     group_rates: dict = field(default_factory=dict)
-    n_eval: int = 0
     config: dict = field(default_factory=dict)
     runtime_s: float = 0.0
 
@@ -179,7 +178,6 @@ def build_report(
         delta_sp=100.0 * d_sp,
         delta_eo=100.0 * d_eo,
         group_rates={"positive_rate": rates, "tpr": tprs},
-        n_eval=len(idx),
         config=config,
         runtime_s=runtime_s,
     )

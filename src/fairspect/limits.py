@@ -26,15 +26,21 @@ from .graph import Graph, SensitiveColumn
 from .spectral import (
     DEFAULT_ORACLE_CAP,
     SpectralTruncation,
+    _magnitudes_tied,
     dense_eigendecomposition,
     top_m_eigenpairs,
 )
 from .synthetic import SyntheticSpec, gen_synthetic
 
 VARIANTS = ("lemma1", "thm1", "thm2", "thm3")
-DOMINANT_TIE_RTOL = 1e-9
 RESIDUAL_NOISE_FLOOR = 1e-12
+DECAY_MIN_DECADES = 4  # the least fall of the residuals above the floor, in decades
 PROJECTION_FLOOR = 1e-12
+# the alignment battery: node counts, least |dominant/second|, masked share, draws
+BATTERY_N_RANGE = (20, 200)
+BATTERY_MIN_GAP_RATIO = 1.5
+BATTERY_MASK_RATE = 0.3
+BATTERY_MAX_ATTEMPTS = 2000
 
 
 class RepeatedDominantError(ValueError):
@@ -110,15 +116,15 @@ def _normalized_cosine_series(graph: Graph, source: np.ndarray, target: np.ndarr
     return out
 
 
-def _resolve_truncation(graph: Graph, trunc, oracle_cap: int) -> SpectralTruncation:
+def _resolve_truncation(graph: Graph, trunc) -> SpectralTruncation:
     if trunc is not None:
         if trunc.m < 2:
             raise ValueError("need at least two eigenpairs for the limit prediction")
         return trunc
     if graph.n < 2:
         raise ValueError("limit checks need at least two nodes")
-    if graph.n <= oracle_cap:
-        return dense_eigendecomposition(graph, oracle_cap)
+    if graph.n <= DEFAULT_ORACLE_CAP:
+        return dense_eigendecomposition(graph)
     return top_m_eigenpairs(graph, 2)
 
 
@@ -128,7 +134,6 @@ def limit_check(
     sensitive,
     k_max: int = 40,
     trunc: SpectralTruncation | None = None,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> AlignmentSeries:
     """Cosine series, predicted limit, and residuals for one variant.
 
@@ -142,9 +147,9 @@ def limit_check(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    trunc = _resolve_truncation(graph, trunc, oracle_cap)
+    trunc = _resolve_truncation(graph, trunc)
     lead, second = float(trunc.eigenvalues[0]), float(trunc.eigenvalues[1])
-    tied = abs(abs(lead) - abs(second)) <= DOMINANT_TIE_RTOL * max(1.0, abs(lead), abs(second))
+    tied = _magnitudes_tied(lead, second)
 
     complete, padded = _column_views(sensitive)
     source, target = {
@@ -204,7 +209,9 @@ def estimate_decay_rate(series: AlignmentSeries,
     restricted to its tail half (where the sub-dominant transient has died
     out) and to even hop counts, where every spectral component contributes
     with a nonnegative sign, so sign-alternation from negative eigenvalues
-    cannot wobble the estimate.
+    cannot wobble the estimate. Raises NotEstimableError unless five
+    consecutive residuals lie above the noise floor and the residuals above it
+    span at least ``DECAY_MIN_DECADES`` decades.
     """
     if trunc.m < 2 or trunc.eigenvalues[0] == 0.0:
         raise ValueError("decay prediction needs two eigenvalues and a nonzero dominant")
@@ -224,6 +231,10 @@ def estimate_decay_rate(series: AlignmentSeries,
             length = 0
     if best_len < 5:
         raise NotEstimableError("fewer than five consecutive residuals above the noise floor")
+    above = res[usable]
+    if above.max() / above.min() < 10.0 ** DECAY_MIN_DECADES:
+        raise NotEstimableError(
+            f"residuals above the noise floor span fewer than {DECAY_MIN_DECADES} decades")
     evens = [i for i in range(len(res))
              if series.hops[i] % 2 == 0 and usable[i]]
     if len(evens) >= 6:
@@ -240,7 +251,6 @@ def multiplicity_bound_check(
     graph: Graph,
     sensitive,
     k_max: int = 60,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> MultiplicityBound:
     """Lower-bound check for a degenerate positive dominant eigenvalue.
 
@@ -250,19 +260,18 @@ def multiplicity_bound_check(
     eigenspace violates the premise and is flagged degenerate (inconclusive)
     rather than judged.
     """
-    if graph.n > oracle_cap:
+    if graph.n > DEFAULT_ORACLE_CAP:
         raise ValueError("multiplicity detection requires the dense oracle")
-    oracle = dense_eigendecomposition(graph, oracle_cap)
+    oracle = dense_eigendecomposition(graph)
     lead = float(oracle.eigenvalues[0])
     if lead <= 0.0:
         raise ValueError("bound check requires a positive dominant eigenvalue")
-    tol = DOMINANT_TIE_RTOL * max(1.0, abs(lead))
-    same = np.abs(oracle.eigenvalues - lead) <= tol
-    multiplicity = int(np.count_nonzero(same))
+    tied = np.array([_magnitudes_tied(lead, value) for value in oracle.eigenvalues])
+    # ties put the positive eigenvalues first: the dominant eigenspace leads
+    multiplicity = int(np.count_nonzero(tied & (oracle.eigenvalues > 0)))
     if multiplicity < 2:
         raise ValueError("dominant eigenvalue is simple; use limit_check")
-    rest = oracle.eigenvalues[multiplicity:]
-    if len(rest) and np.any(np.abs(np.abs(rest) - lead) <= tol):
+    if np.any(tied & (oracle.eigenvalues < 0)):
         raise ValueError("dominant magnitude shared with an opposite-sign eigenvalue")
 
     _, padded = _column_views(sensitive)
@@ -282,29 +291,22 @@ def multiplicity_bound_check(
                              degenerate=False, multiplicity=multiplicity)
 
 
-def build_alignment_battery(
-    count: int,
-    seed: int = 0,
-    n_range: tuple[int, int] = (20, 200),
-    min_gap_ratio: float = 1.5,
-    mask_rate: float = 0.3,
-    max_attempts: int = 2000,
-):
+def build_alignment_battery(count: int, seed: int = 0):
     """Seeded battery of connected, non-bipartite graphs with a clear gap.
 
     Returns a list of (graph_id, graph, masked SensitiveColumn, oracle)
     tuples whose dominant/second magnitude ratio is at least
-    ``min_gap_ratio``. Candidates not meeting the premises are skipped, so
-    the battery is deterministic for a given seed.
+    ``BATTERY_MIN_GAP_RATIO``. Candidates not meeting the premises are
+    skipped, so the battery is deterministic for a given seed.
     """
     from .graph import apply_missing_mask, is_bipartite, is_connected
 
     rng = np.random.default_rng(seed)
     battery = []
     attempt = 0
-    while len(battery) < count and attempt < max_attempts:
+    while len(battery) < count and attempt < BATTERY_MAX_ATTEMPTS:
         attempt += 1
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        n = int(rng.integers(BATTERY_N_RANGE[0], BATTERY_N_RANGE[1] + 1))
         kind_seed = int(rng.integers(0, 2 ** 31))
         if attempt % 2:
             spec = SyntheticSpec(kind="erdos_renyi", n=n,
@@ -322,7 +324,7 @@ def build_alignment_battery(
             continue
         oracle = dense_eigendecomposition(graph)
         lead, second = abs(float(oracle.eigenvalues[0])), abs(float(oracle.eigenvalues[1]))
-        if second == 0.0 or lead / second < min_gap_ratio:
+        if second == 0.0 or lead / second < BATTERY_MIN_GAP_RATIO:
             continue
         # sensitive groups split along the second eigendirection (community
         # structure, as in real networks) plus noise; a generic random vector
@@ -335,7 +337,7 @@ def build_alignment_battery(
         if values.sum() in (0, graph.n):
             continue
         column = SensitiveColumn(values=values, present=np.ones(graph.n, dtype=bool))
-        masked = apply_missing_mask(column, mask_rate, seed=kind_seed + 1)
+        masked = apply_missing_mask(column, BATTERY_MASK_RATE, seed=kind_seed + 1)
         if masked.padded_vector().sum() == 0:
             continue
         battery.append((f"{spec.kind}-{len(battery):02d}-n{graph.n}", graph, masked, oracle))

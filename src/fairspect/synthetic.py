@@ -48,50 +48,40 @@ class SyntheticSpec:
             raise ValueError("need at least two sensitive classes")
 
 
-def _pair_edges(n: int, pair_prob, rng: np.random.Generator):
-    """Sample the upper triangle with per-pair probabilities."""
-    rows, cols = np.triu_indices(n, k=1)
-    keep = rng.random(len(rows)) < pair_prob
-    return list(zip(rows[keep].tolist(), cols[keep].tolist()))
-
-
 def _build_topology(spec: SyntheticSpec, rng: np.random.Generator):
-    """Returns (edges, block_ids)."""
+    """Returns (edges, block_ids): an (E, 2) int64 array, or the custom
+    kind's pairs as given, and one block per node.
+
+    Erdős–Rényi is the one-block SBM: both draw one uniform per pair of the
+    upper triangle. Cliques are built block by block and draw nothing.
+    """
+    if spec.kind == "custom":
+        return spec.params.get("edges", []), np.zeros(spec.n, dtype=np.int64)
     if spec.kind == "erdos_renyi":
-        p = float(spec.params.get("p", 0.1))
-        return _pair_edges(spec.n, p, rng), np.zeros(spec.n, dtype=np.int64)
-    if spec.kind == "sbm":
-        sizes = list(spec.params.get("block_sizes") or [])
+        sizes = [spec.n]
+        p_in = p_out = float(spec.params.get("p", 0.1))
+    else:
+        key = "block_sizes" if spec.kind == "sbm" else "sizes"
+        sizes = list(spec.params.get(key) or [])
         if not sizes or sum(sizes) != spec.n:
-            raise ValueError("sbm needs block_sizes summing to n")
-        blocks = np.repeat(np.arange(len(sizes)), sizes)
-        if "block_matrix" in spec.params:
-            P = np.asarray(spec.params["block_matrix"], dtype=np.float64)
-        else:
-            p_in = float(spec.params.get("p_in", 0.3))
-            p_out = float(spec.params.get("p_out", 0.02))
-            k = len(sizes)
-            P = np.full((k, k), p_out)
-            np.fill_diagonal(P, p_in)
-        rows, cols = np.triu_indices(spec.n, k=1)
-        pair_prob = P[blocks[rows], blocks[cols]]
-        keep = rng.random(len(rows)) < pair_prob
-        return list(zip(rows[keep].tolist(), cols[keep].tolist())), blocks
+            raise ValueError(f"{spec.kind} needs {key} summing to n")
+        p_in = float(spec.params.get("p_in", 0.3))
+        p_out = float(spec.params.get("p_out", 0.02))
+    blocks = np.repeat(np.arange(len(sizes)), sizes)
     if spec.kind == "disjoint_cliques":
-        sizes = list(spec.params.get("sizes") or [])
-        if not sizes or sum(sizes) != spec.n:
-            raise ValueError("disjoint_cliques needs sizes summing to n")
-        blocks = np.repeat(np.arange(len(sizes)), sizes)
-        edges = []
-        start = 0
-        for size in sizes:
-            members = range(start, start + size)
-            edges.extend((u, v) for u in members for v in members if u < v)
-            start += size
+        starts = np.cumsum([0, *sizes[:-1]])
+        edges = np.concatenate([start + np.column_stack(np.triu_indices(size, k=1))
+                                for start, size in zip(starts, sizes)])
         return edges, blocks
-    # custom: explicit edge list, single block
-    edges = [(int(u), int(v)) for u, v in spec.params.get("edges", [])]
-    return edges, np.zeros(spec.n, dtype=np.int64)
+    rows, cols = np.triu_indices(spec.n, k=1)
+    draw = rng.random(len(rows))
+    if len(sizes) == 1:
+        keep = draw < p_in
+    else:
+        # the per-pair block ids are n²/2 long: hold them in the narrowest dtype
+        narrow = blocks.astype(np.min_scalar_type(len(sizes) - 1))
+        keep = np.where(narrow[rows] == narrow[cols], draw < p_in, draw < p_out)
+    return np.column_stack([rows[keep], cols[keep]]), blocks
 
 
 def gen_synthetic(spec: SyntheticSpec):

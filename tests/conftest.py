@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 
 import numpy as np
@@ -59,3 +60,13 @@ def sensitive_column(values, present=None):
     if present is None:
         present = np.ones(len(values), dtype=bool)
     return SensitiveColumn(values=values, present=np.asarray(present, dtype=bool))
+
+
+def array_digest(*arrays) -> str:
+    """sha256 over the dtype, shape and bytes of each array, in order."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()

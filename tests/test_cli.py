@@ -403,6 +403,28 @@ class TestVerify:
         assert summary["decay"] == {"checked": 3, "passed": 3, "failed": 0, "skipped": 0,
                                     "pass": True}
 
+    @pytest.mark.parametrize("variants, complaint", [
+        ("lemma1,thm9", "unknown variant 'thm9'"),
+        # the thm2 series would be written twice while the summary counts each graph once
+        ("thm2,thm1,thm2", "lists 'thm2' twice"),
+        # no variant checked would still print PASS
+        (",", "names no variant"),
+    ])
+    def test_bad_variants_are_usage_errors(self, tmp_path, monkeypatch, capsys,
+                                           variants, complaint):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the battery was built before --variants was checked")
+
+        monkeypatch.setattr(fairspect.cli, "build_alignment_battery", unreachable)
+        out = tmp_path / "verify"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--suite_size", "3", "--variants", variants,
+                  "--out_dir", str(out)])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert "--variants" in err and complaint in err
+        assert not out.exists()
+
     def test_attributes_without_edges_is_usage_error(self, tmp_path, capsys):
         # the synthetic battery would run and never open either file
         out = tmp_path / "verify"

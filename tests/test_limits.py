@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fairspect.limits import (
+    AlignmentSeries,
     DegenerateAlignmentError,
     NotEstimableError,
     RepeatedDominantError,
@@ -14,7 +15,7 @@ from fairspect.limits import (
 from fairspect.spectral import dense_eigendecomposition, spectral_gap
 from fairspect.synthetic import SyntheticSpec, gen_synthetic
 
-from conftest import sensitive_column
+from conftest import array_digest, sensitive_column
 
 
 class TestLimitCheckTriangle:
@@ -109,6 +110,17 @@ class TestDecayRate:
         series = limit_check("thm1", graph, sens, k_max=90, trunc=oracle)
         empirical, predicted = estimate_decay_rate(series, oracle)
         assert abs(empirical - abs(predicted)) <= 0.10 * abs(predicted)
+
+    def test_residuals_spanning_under_four_decades_not_estimable(self, k3):
+        """Residuals that fall from 1 to 1e-3 carry too little decay to
+        compare against the spectral ratio."""
+        oracle = dense_eigendecomposition(k3)
+        hops = np.arange(1, 31)
+        residuals = 0.5 ** (hops * 10.0 / 30)
+        series = AlignmentSeries(variant="thm1", hops=hops, cosines=1.0 - residuals,
+                                 limit=1.0, residuals=residuals)
+        with pytest.raises(NotEstimableError, match="4 decades"):
+            estimate_decay_rate(series, oracle)
 
     def test_converged_series_not_estimable(self, k3):
         oracle = dense_eigendecomposition(k3)
@@ -215,6 +227,16 @@ class TestBatteries:
             assert sens.padded_vector().sum() > 0
         again = build_alignment_battery(6, seed=1)
         assert [b[0] for b in battery] == [b[0] for b in again]
+
+    def test_alignment_battery_pinned(self):
+        """The battery's graphs and masked columns are pinned: a sampler
+        change that redraws them updates this digest on purpose."""
+        arrays = []
+        for graph_id, graph, sens, _ in build_alignment_battery(30, seed=0):
+            arrays += [np.array(graph_id), graph.row_offsets, graph.col_indices,
+                       sens.values, sens.present]
+        expected = "44cda7775f78d935ae83ee96a3c37414a6283e5f1840ef93fcf543dc89e620f2"
+        assert array_digest(*arrays) == expected
 
     def test_multiplicity_battery_shapes(self):
         battery = build_multiplicity_battery(10, seed=2)

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fairspect.graph import is_connected, load_attributes, load_edge_list, to_edge_list_text
+from fairspect.graph import (from_edges, is_connected, load_attributes, load_edge_list,
+                             to_edge_list_text)
 from fairspect.spectral import dense_eigendecomposition
-from fairspect.synthetic import SyntheticSpec, attributes_to_csv_text, gen_synthetic
+from fairspect.synthetic import (SyntheticSpec, _build_topology, attributes_to_csv_text,
+                                 gen_synthetic)
+
+from conftest import array_digest
 
 
 class TestGenerators:
@@ -69,6 +75,29 @@ class TestGenerators:
         assert not is_connected(graph)
         assert attrs.n == 4 and len(labels) == 4 and sens.n == 4
 
+    def test_custom_edges_must_be_pairs(self):
+        for edges in ([(0, 1, 2), (3, 4, 5)], [0, 1, 2, 3]):
+            with pytest.raises(ValueError, match="pairs"):
+                gen_synthetic(SyntheticSpec(kind="custom", n=6, params={"edges": edges}))
+
+    def test_many_small_cliques_cost_their_edges_only(self):
+        # 1000 cliques of 4: 6000 edges among 8 million node pairs. Building
+        # the cliques block by block allocates a few hundred kB; a pass over
+        # every pair would allocate over 100 MB.
+        spec = SyntheticSpec(kind="disjoint_cliques", n=4000, params={"sizes": [4] * 1000})
+        tracemalloc.start()
+        try:
+            edges, blocks = _build_topology(spec, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert edges.shape == (6000, 2)
+        assert np.all(blocks[edges[:, 0]] == blocks[edges[:, 1]])
+        graph = from_edges(spec.n, edges)
+        assert graph.edge_count == 6000
+        assert np.all(np.diff(graph.row_offsets) == 3)
+
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError):
             SyntheticSpec(kind="nope", n=4)
@@ -76,6 +105,43 @@ class TestGenerators:
             gen_synthetic(SyntheticSpec(kind="sbm", n=10, params={"block_sizes": [4, 4]}))
         with pytest.raises(ValueError):
             SyntheticSpec(kind="erdos_renyi", n=4, sensitive_correlation=1.5)
+
+
+class TestSamplerPinned:
+    """The generators' draws are pinned: a change that redraws any kind's
+    graph, features, sensitive classes or labels fails here, and a sampler
+    change that means to redraw updates these digests on purpose."""
+
+    SPECS = {
+        "erdos_renyi": SyntheticSpec(kind="erdos_renyi", n=60, params={"p": 0.15},
+                                     label_flip=0.2, seed=3),
+        "sbm2": SyntheticSpec(kind="sbm", n=50,
+                              params={"block_sizes": [30, 20], "p_in": 0.4, "p_out": 0.05},
+                              sensitive_correlation=0.8, label_flip=0.1, seed=4),
+        "sbm3": SyntheticSpec(kind="sbm", n=45,
+                              params={"block_sizes": [10, 15, 20], "p_in": 0.5, "p_out": 0.1},
+                              sensitive_correlation=0.7, sensitive_classes=3,
+                              noise_scale=0.3, seed=5),
+        "cliques": SyntheticSpec(kind="disjoint_cliques", n=12, params={"sizes": [3, 4, 5]},
+                                 sensitive_correlation=0.9, label_flip=0.3, seed=6),
+        "custom": SyntheticSpec(kind="custom", n=6,
+                                params={"edges": [(0, 1), (1, 2), (4, 3), (2, 0)]},
+                                sensitive_classes=3, seed=7),
+    }
+    # sha256 of (row_offsets, col_indices, features, sensitive, labels)
+    DIGESTS = {
+        "erdos_renyi": "a0553c1d7858cf4777e853a168b6845493779919953022f68b3f856164c409bd",
+        "sbm2": "f02798a4929048f3d56296f58e7fa22894c73a34a21233abf7fd5d9ff3357cd7",
+        "sbm3": "33a2627e1d7eff0f374041a6b2184954581e392809dd1cde5008953f9bf2a14a",
+        "cliques": "539b27b7ddf30579a2f3c6e2c0d5514e38dff48f3b204675f12c8985bab4552e",
+        "custom": "ce24a3f8ee404366617c5c426154068f6b5933f1b27c52e75d1ca58fad89e3f7",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_output_digest(self, name):
+        graph, attrs, sens, labels = gen_synthetic(self.SPECS[name])
+        assert array_digest(graph.row_offsets, graph.col_indices, attrs.features,
+                            sens.values, labels) == self.DIGESTS[name]
 
 
 class TestSerialisation:
