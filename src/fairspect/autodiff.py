@@ -20,11 +20,23 @@ fresh memory. An adjoint may overwrite an array only if it allocated that
 array itself, and only before handing it on; an array it received or passed
 to ``_accumulate`` is never written again.
 
+The loss's B blocks can be split between two processes (``LossHelper``): a
+forked helper takes blocks 0, 1, ... and the caller blocks B - 1, B - 2, ...,
+one at a time from a shared count, until none is left; with both sides
+equally fast each runs about half. The helper adds its blocks, a prefix of
+the B, into sums that start at zero, as the serial loop's do; the caller
+keeps each of its blocks' terms and then adds them onto the helper's sums
+one block at a time, in block order. Every sum is so formed in the serial
+order, and loss and gradients keep the serial loop's bits.
+
 Everything runs in float64. Constants (graph data, eigenvector bases) enter
 as Tensors with ``requires_grad=False`` and receive no gradient.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
 
 import numpy as np
 
@@ -156,7 +168,7 @@ def relu_layers_logits(x: np.ndarray, side: np.ndarray, weights, head_w: np.ndar
 
 
 def relu_layers_loss(x: np.ndarray, side: np.ndarray, weights, head_w, head_b,
-                     labels) -> Tensor:
+                     labels, helper: LossHelper | None = None) -> Tensor:
     """Mean cross entropy of the per-row network's logits, as one node.
 
     ``x`` and ``side`` are constants; the parents are the weights and the head.
@@ -168,33 +180,58 @@ def relu_layers_loss(x: np.ndarray, side: np.ndarray, weights, head_w, head_b,
     outlives its block. The adjoint scales them by the upstream gradient.
     Loss and gradients are those of the mean cross entropy over the network
     composed from elementary nodes, up to the rounding of the block sums.
+
+    With a ``helper`` started for these rows, the blocks are split between
+    the helper and this process (``LossHelper.sums``); every sum is still
+    formed in block order, so loss and gradients are bit-identical to the
+    serial loop.
     """
     labels = _checked_labels(labels, len(x))
     n = len(labels)
-    hidden = head_w.data.shape[0]
     losses = np.empty(n)
     parents = (*weights, head_w, head_b)
-    totals = [np.zeros_like(t.data) for t in parents]
-    *grad_ws, grad_head_w, grad_head_b = totals
-    arrays = [w.data for w in weights]
-    for rows in _row_blocks(n, hidden):
-        inputs, h = _relu_layers(x[rows], side[rows], arrays)
-        logits = h @ head_w.data
-        logits += head_b.data
-        losses[rows], g = _cross_entropy_rows(logits, labels[rows])
-        g /= n
-        grad_head_w += h.T @ g
-        grad_head_b += g.sum(axis=0)
-        gh = g @ head_w.data.T
-        acts = [inp[:, :hidden] for inp in inputs[1:]] + [h]
-        for layer in reversed(range(len(weights))):
-            # gh is this block's own array, not yet handed on
-            np.multiply(gh, acts[layer] > 0, out=gh)
-            grad_ws[layer] += inputs[layer].T @ gh
-            if layer:
-                gh = gh @ arrays[layer][:hidden].T
-        del inputs, h, logits, g, gh, acts
+    arrays = [t.data for t in parents]
+    if helper is None:
+        totals = [np.zeros_like(a) for a in arrays]
+        for rows in _row_blocks(n, head_w.data.shape[0]):
+            losses[rows], terms = _block_terms(x, side, arrays, labels, rows)
+            _add_terms(totals, terms)
+    else:
+        if x is not helper.x:
+            raise ValueError("the helper was started for other rows")
+        totals = helper.sums(arrays, losses)
     return fused(losses.mean(), parents, lambda g: [float(g) * t for t in totals])
+
+
+def _block_terms(x, side, arrays, labels, rows):
+    """One block's per-row losses and its terms of the gradient sums, one per
+    array of ``arrays`` (the layer weights, then the head's weight and bias).
+
+    ``labels`` holds every row's label; the row-local gradient is divided by
+    their count. The block's rows x hidden arrays are freed on return.
+    """
+    *weights, head_w, head_b = arrays
+    hidden = head_w.shape[0]
+    inputs, h = _relu_layers(x[rows], side[rows], weights)
+    logits = h @ head_w
+    logits += head_b
+    losses, g = _cross_entropy_rows(logits, labels[rows])
+    g /= len(labels)
+    terms = [None] * len(weights) + [h.T @ g, g.sum(axis=0)]
+    gh = g @ head_w.T
+    acts = [inp[:, :hidden] for inp in inputs[1:]] + [h]
+    for layer in reversed(range(len(weights))):
+        # gh is this block's own array, not yet handed on
+        np.multiply(gh, acts[layer] > 0, out=gh)
+        terms[layer] = inputs[layer].T @ gh
+        if layer:
+            gh = gh @ weights[layer][:hidden].T
+    return losses, terms
+
+
+def _add_terms(totals, terms):
+    for total, term in zip(totals, terms):
+        total += term
 
 
 def _checked_labels(labels, rows: int) -> np.ndarray:
@@ -225,3 +262,172 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
     d = exp / sums[:, None]
     d[rows, labels] -= 1.0
     return losses, d
+
+
+class HelperDiedError(RuntimeError):
+    """The loss helper process died, or failed, before handing back its blocks."""
+
+
+# the shared buffer: three int64 words, a failure message, then the floats.
+# The words start at zero; the caller sets _COMMAND to _CLOSE to stop the
+# helper, and the helper sets _STATUS to _FAILED when a block raised
+_COMMAND, _STATUS, _MESSAGE_LENGTH = range(3)
+_CLOSE = _FAILED = 1
+_MESSAGE_START = 64
+_HEADER_BYTES = 1024
+# acquire(False) attempts between liveness checks of the other process
+_SPINS_PER_CHECK = 256
+_CLOSE_TIMEOUT_S = 10.0
+
+
+class LossHelper:
+    """A forked process that runs row blocks of every ``relu_layers_loss`` over
+    the rows ``x``, ``side`` and ``labels``, beside the calling process.
+
+    Each call hands out its B blocks through a shared count: the helper takes
+    them one at a time from the front (0, 1, ...) and the caller from the back
+    (B - 1, B - 2, ...), so a side that falls behind, say because another
+    process holds its CPU, leaves more blocks to the other. The helper adds
+    its blocks into sums that start at zero; the caller keeps each of its
+    blocks' terms and adds them onto the helper's sums in block order.
+
+    The weights go out, and the helper's sums and per-row losses come back,
+    through one shared anonymous ``mmap`` made before the fork. Each hand-off
+    spins on fork-context semaphores with ``acquire(False)``: a blocking
+    hand-off costs a scheduler wake-up, far more than a block. So the helper
+    keeps its CPU busy for as long as it is open; each miss yields the CPU
+    (``sched_yield``), so a process that shares it still runs. The helper
+    exits when it is closed, when its parent process changes, or after it
+    reports an error; ``sums`` raises ``HelperDiedError`` if it died or
+    failed, and closes it on any error. ``shapes`` are those of the loss's
+    parents: the layer weights, then the head's weight and bias.
+    """
+
+    def __init__(self, x: np.ndarray, side: np.ndarray, labels, shapes):
+        import mmap
+        import multiprocessing
+
+        self.x, self._side = x, side
+        self._labels = _checked_labels(labels, len(x))
+        self._blocks = _row_blocks(len(x), shapes[-2][0])
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        params = sum(sizes)
+        self._buffer = mmap.mmap(-1, _HEADER_BYTES + 8 * (2 * params + len(x)))
+        self._words = np.frombuffer(self._buffer, dtype=np.int64, count=3)
+        floats = np.frombuffer(self._buffer, dtype=np.float64, offset=_HEADER_BYTES)
+        bounds = np.cumsum([0, *sizes])
+        self._params = [floats[a:b].reshape(shape)
+                        for a, b, shape in zip(bounds, bounds[1:], shapes)]
+        self._totals = [floats[params + a:params + b].reshape(shape)
+                        for a, b, shape in zip(bounds, bounds[1:], shapes)]
+        self._losses = floats[2 * params:]
+        context = multiprocessing.get_context("fork")
+        # go: a call's weights are in place; done: the helper's sums are;
+        # unclaimed: one permit per block of the call not yet taken by a side
+        self._go, self._done, self._unclaimed = (context.Semaphore(0) for _ in range(3))
+        self._process = context.Process(target=self._serve, args=(os.getpid(),), daemon=True)
+        self._process.start()
+
+    def sums(self, arrays, losses: np.ndarray) -> list[np.ndarray]:
+        """Run every block on the parameters ``arrays`` across both processes:
+        write each row's loss into ``losses`` and return the gradient sums,
+        formed in block order."""
+        try:
+            for view, array in zip(self._params, arrays):
+                view[...] = array
+            for _ in self._blocks:
+                self._unclaimed.release()
+            self._go.release()
+            held = []
+            while self._unclaimed.acquire(False):
+                rows = self._blocks[-1 - len(held)]
+                losses[rows], terms = _block_terms(self.x, self._side, arrays,
+                                                   self._labels, rows)
+                held.append(terms)
+            self._wait_for_helper()
+        except BaseException:
+            self.close()
+            raise
+        helped = len(self._blocks) - len(held)
+        if helped:
+            stop = self._blocks[helped - 1].stop
+            losses[:stop] = self._losses[:stop]
+        totals = [total.copy() for total in self._totals]
+        for terms in reversed(held):
+            _add_terms(totals, terms)
+        return totals
+
+    def _wait_for_helper(self):
+        spins = 0
+        while not self._done.acquire(False):
+            os.sched_yield()
+            spins += 1
+            if not spins % _SPINS_PER_CHECK and not self._process.is_alive():
+                code = self._process.exitcode
+                how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+                raise HelperDiedError(f"the loss helper process died ({how})")
+        if self._words[_STATUS] == _FAILED:
+            length = int(self._words[_MESSAGE_LENGTH])
+            message = self._buffer[_MESSAGE_START:_MESSAGE_START + length].decode(
+                errors="replace")
+            raise HelperDiedError(f"the loss helper process failed: {message}")
+
+    def close(self):
+        """Stop the helper and reap it; it finishes the blocks it took first."""
+        if self._process.is_alive():
+            self._words[_COMMAND] = _CLOSE
+            self._go.release()
+            self._process.join(_CLOSE_TIMEOUT_S)
+            if self._process.is_alive():
+                self._process.kill()
+        self._process.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _serve(self, parent):
+        """The helper's loop, in the forked process; it never returns."""
+        code = 1
+        try:
+            while True:
+                spins = 0
+                while not self._go.acquire(False):
+                    os.sched_yield()
+                    spins += 1
+                    if not spins % _SPINS_PER_CHECK and os.getppid() != parent:
+                        return
+                if self._words[_COMMAND] == _CLOSE:
+                    code = 0
+                    return
+                try:
+                    for total in self._totals:
+                        total[...] = 0.0
+                    for rows in self._blocks:
+                        if not self._unclaimed.acquire(False):
+                            break
+                        self._losses[rows], terms = _block_terms(
+                            self.x, self._side, self._params, self._labels, rows)
+                        _add_terms(self._totals, terms)
+                except Exception as exc:
+                    message = f"{type(exc).__name__}: {exc}".encode()
+                    message = message[:_HEADER_BYTES - _MESSAGE_START]
+                    self._buffer[_MESSAGE_START:_MESSAGE_START + len(message)] = message
+                    self._words[_MESSAGE_LENGTH] = len(message)
+                    self._words[_STATUS] = _FAILED
+                    self._done.release()
+                    return
+                self._done.release()
+        finally:
+            # skip the parent's exit handlers and its inherited stdio buffers
+            os._exit(code)
+
+
+def loss_helper(x: np.ndarray, side: np.ndarray, labels, shapes, cpus: int):
+    """A started ``LossHelper`` for these rows when ``cpus`` leaves a second CPU
+    and the rows span at least two blocks; otherwise a context that yields None."""
+    if cpus < 2 or len(_row_blocks(len(x), shapes[-2][0])) < 2:
+        return contextlib.nullcontext()
+    return LossHelper(x, side, labels, shapes)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import HelperDiedError
 from .encoding import DegenerateVectorError
 from .fairness import UndefinedMetricError, build_report
 from .graph import (
@@ -57,7 +58,12 @@ from .model import (
     structural_truncation,
     train,
 )
-from .spectral import DEFAULT_ORACLE_CAP, ConvergenceError, dense_eigendecomposition
+from .spectral import (
+    DEFAULT_ORACLE_CAP,
+    ConvergenceError,
+    dense_eigendecomposition,
+    top_m_eigenpairs,
+)
 from .synthetic import SyntheticSpec, attributes_to_csv_text, gen_synthetic
 
 EXIT_OK = 0
@@ -253,10 +259,11 @@ def _load_dataset(merged: dict):
 
 
 def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
-                         config: TrainConfig, trunc=None):
+                         config: TrainConfig, trunc=None, cpus: int = 1):
     """Train once and return (report, params). Masking follows the config.
 
     ``trunc`` is a precomputed structural truncation; None solves it here.
+    ``cpus`` is the run's share of ``cpu_budget()``, which ``train`` may use.
     """
     if merged.get("mask"):
         run_sensitive = parse_mask_file(
@@ -272,7 +279,7 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
     split = make_split(graph.n, config.train_size, config.seed)
     started = time.perf_counter()
     data = prepare_inputs(graph, attrs, run_sensitive, labels, split, config, trunc=trunc)
-    params, _history = train(data, config)
+    params, _history = train(data, config, cpus=cpus)
     test = split.test
     # the report scores the test nodes only, so only their rows are predicted
     yhat = predict(params, data.take(test), config)
@@ -285,9 +292,9 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
     return report, params
 
 
-def _sweep_cell(inputs: tuple, trunc, config: TrainConfig):
+def _sweep_cell(inputs: tuple, trunc, cpus: int, config: TrainConfig):
     """One grid cell's report; its parameters stay in the process that trained them."""
-    report, _params = _run_single_training(*inputs, config, trunc)
+    report, _params = _run_single_training(*inputs, config, trunc, cpus)
     return report
 
 
@@ -306,12 +313,13 @@ def _run_adopted_cell(config: TrainConfig):
     return _worker_cell(config)
 
 
-def sweep_worker_count(cells: int) -> int:
-    """Processes for a sweep of ``cells`` cells: min(cells, CPUs // BLAS threads).
+def cpu_budget() -> int:
+    """Processes one command may keep busy: CPUs // BLAS threads, at least 1.
 
     BLAS threads per process are the first of the BLAS thread variables that
     holds a positive integer. With none set, BLAS is taken to use every CPU,
     which leaves room for one process: more would oversubscribe the CPUs.
+    ``train`` gets the whole budget; ``sweep`` divides it among its workers.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -323,7 +331,12 @@ def sweep_worker_count(cells: int) -> int:
         if value.isdecimal() and int(value) > 0:
             blas = int(value)
             break
-    return max(1, min(cells, cpus // blas))
+    return max(1, cpus // blas)
+
+
+def sweep_worker_count(cells: int) -> int:
+    """Processes for a sweep of ``cells`` cells: min(cells, ``cpu_budget()``)."""
+    return max(1, min(cells, cpu_budget()))
 
 
 def _pooled_reports(pool, configs: list, workers: int):
@@ -428,7 +441,7 @@ def cmd_train(args) -> int:
     out_dir = Path(merged.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     report, params = _run_single_training(graph, attrs, sensitive, labels,
-                                          dataset, merged, config)
+                                          dataset, merged, config, cpus=cpu_budget())
     report_path = out_dir / "report.json"
     _atomic_write_text(report_path, _json_text(report.to_json_dict()))
     ckpt_path = out_dir / "checkpoint.npz"
@@ -461,10 +474,12 @@ def cmd_sweep(args) -> int:
     configs = [_train_config_from(merged, missing_rate=rate, seed=seed) for rate, seed in grid]
     # every cell shares the graph, m and the fusion switch, so one solve serves the grid
     trunc = structural_truncation(graph, configs[0]) if configs else None
+    workers = sweep_worker_count(len(configs))
     run_cell = functools.partial(
-        _sweep_cell, (graph, attrs, sensitive, labels, dataset, merged), trunc)
+        _sweep_cell, (graph, attrs, sensitive, labels, dataset, merged), trunc,
+        cpu_budget() // workers)
     by_rate: dict[float, list] = {rate: [] for rate in rates}
-    with _cell_reports(run_cell, configs, sweep_worker_count(len(configs))) as reports:
+    with _cell_reports(run_cell, configs, workers) as reports:
         for (rate, seed), report in zip(grid, reports):
             name = f"report_r{rate:g}_s{seed}.json"
             _atomic_write_text(out_dir / name, _json_text(report.to_json_dict()))
@@ -511,7 +526,10 @@ def _verify_battery(args):
                 values[0] = 1
             sensitive = SensitiveColumn(values=values,
                                         present=np.ones(graph.n, dtype=bool))
-        oracle = dense_eigendecomposition(graph) if graph.n <= DEFAULT_ORACLE_CAP else None
+        # one solve per graph serves every variant and the decay check, which
+        # read its top two pairs: the dense oracle up to its cap, ARPACK above
+        oracle = (dense_eigendecomposition(graph) if graph.n <= DEFAULT_ORACLE_CAP
+                  else top_m_eigenpairs(graph, 2))
         return [(Path(args.edges).stem, graph, sensitive, oracle)]
     return build_alignment_battery(args.suite_size, seed=args.seed)
 
@@ -522,17 +540,16 @@ def cmd_verify(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # one series per (variant, graph), None outside the variant's premises;
-    # thm1 also feeds the decay check, which needs the oracle
+    # thm1 also feeds the decay check
     table = {}
     for variant in dict.fromkeys([*args.variants, "thm1"]):
         for index, (_, graph, sensitive, oracle) in enumerate(battery):
-            if variant in args.variants or oracle is not None:
-                try:
-                    table[variant, index] = limit_check(variant, graph, sensitive,
-                                                        k_max=args.k_max, trunc=oracle)
-                except (RepeatedDominantError, DegenerateAlignmentError,
-                        DegenerateVectorError):
-                    table[variant, index] = None
+            try:
+                table[variant, index] = limit_check(variant, graph, sensitive,
+                                                    k_max=args.k_max, trunc=oracle)
+            except (RepeatedDominantError, DegenerateAlignmentError,
+                    DegenerateVectorError):
+                table[variant, index] = None
 
     rows = []
     summary: dict = {}
@@ -568,8 +585,8 @@ def cmd_verify(args) -> int:
 
     decay = {"checked": 0, "passed": 0, "failed": 0, "skipped": 0}
     for index, (_, _, _, oracle) in enumerate(battery):
-        series = table.get(("thm1", index))
-        if oracle is None or series is None:
+        series = table["thm1", index]
+        if series is None:
             decay["skipped"] += 1
             continue
         try:
@@ -692,7 +709,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (EdgeListFormatError, AttributeTableError, UndefinedMetricError,
             DegenerateVectorError, ValueError, OSError, json.JSONDecodeError,
-            WorkerDiedError) as exc:
+            WorkerDiedError, HelperDiedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -28,6 +28,14 @@ once per optimiser step and shares it between that step's validation and the
 next step's loss. A step's tape is that stage node, a row slice of it per
 layer, and the loss node.
 
+Given a second CPU, ``train`` forks one helper process for the run
+(``autodiff.LossHelper``). Of each loss's B row blocks the helper takes
+0, 1, ... and this process B - 1, B - 2, ..., one at a time, until none is
+left; each of this process's blocks is then added onto the helper's
+gradient sums in block order. The sums are formed in the serial order, so
+parameters, history and checkpoints are bit-identical to one CPU.
+``forward``, ``predict``, ``gradients`` and ``loss_on`` always run serially.
+
 An ablation mode (``spectral_fusion=False``) swaps the eigenbasis filter for a
 plain k-hop adjacency propagation of the padded attributes: side is the k-hop
 matrix and W_layer is ``fuse_w_<layer>`` itself, the rest of the network
@@ -360,15 +368,16 @@ def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
 
 
 def loss(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
-         weights: list[Tensor] | None = None) -> Tensor:
+         weights: list[Tensor] | None = None, helper: ad.LossHelper | None = None) -> Tensor:
     """Mean cross entropy over every node of ``data``, as one autodiff node.
 
     ``weights`` as in ``forward``; the logits are those ``forward`` returns.
+    ``helper``, started for ``data``'s rows, runs about half of the row blocks.
     """
     if weights is None:
         weights = layer_weights(data, params, config)
     return ad.relu_layers_loss(data.inputs, data.inputs[:, data.width:], weights,
-                               params["cls_w"], params["cls_b"], data.labels)
+                               params["cls_w"], params["cls_b"], data.labels, helper)
 
 
 def loss_on(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
@@ -475,7 +484,8 @@ def predict(params: dict[str, Tensor], data: PreparedData, config: TrainConfig,
     return argmax_predict(forward(data, params, config, weights))
 
 
-def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], dict]:
+def train(data: PreparedData, config: TrainConfig,
+          cpus: int = 1) -> tuple[dict[str, Tensor], dict]:
     """Adam training with best-validation-accuracy model selection.
 
     Each step takes the loss on the train rows, steps, then scores the
@@ -483,6 +493,11 @@ def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], d
     the per-epoch train loss and validation accuracy. The returned parameters
     are the snapshot from the first epoch achieving the best validation
     accuracy. Raises TrainingDivergedError on non-finite loss.
+
+    With ``cpus`` of 2 or more and train rows spanning at least two row
+    blocks, a forked ``autodiff.LossHelper`` runs about half of every loss's
+    row blocks for the whole run, and is closed when training ends or
+    raises. The results are bit-identical to one CPU.
     """
     config.validate()
     params = init_params(config, data.width)
@@ -493,27 +508,30 @@ def train(data: PreparedData, config: TrainConfig) -> tuple[dict[str, Tensor], d
     best_acc = -1.0
     best = optimizer.values.copy()
     weights = layer_weights(data, params, config)
-    for epoch in range(config.epochs):
-        step_loss = loss(train_rows, params, config, weights)
-        loss_value = float(step_loss.data)
-        if not np.isfinite(loss_value):
-            raise TrainingDivergedError(epoch)
-        ad.zero_grads(params.values())
-        step_loss.backward()
-        optimizer.step()
-        # the parameters only change here: one weight computation serves this
-        # step's validation and the next step's loss
-        weights = layer_weights(data, params, config)
-        if select:
-            val_acc = float(np.mean(predict(params, val_rows, config, weights)
-                                    == val_rows.labels))
-        else:
-            val_acc = float("nan")
-        history["train_loss"].append(loss_value)
-        history["val_acc"].append(val_acc)
-        if select and val_acc > best_acc:
-            best_acc = val_acc
-            best = optimizer.values.copy()
+    shapes = [t.data.shape for t in (*weights, params["cls_w"], params["cls_b"])]
+    with ad.loss_helper(train_rows.inputs, train_rows.inputs[:, data.width:],
+                        train_rows.labels, shapes, cpus) as helper:
+        for epoch in range(config.epochs):
+            step_loss = loss(train_rows, params, config, weights, helper)
+            loss_value = float(step_loss.data)
+            if not np.isfinite(loss_value):
+                raise TrainingDivergedError(epoch)
+            ad.zero_grads(params.values())
+            step_loss.backward()
+            optimizer.step()
+            # the parameters only change here: one weight computation serves
+            # this step's validation and the next step's loss
+            weights = layer_weights(data, params, config)
+            if select:
+                val_acc = float(np.mean(predict(params, val_rows, config, weights)
+                                        == val_rows.labels))
+            else:
+                val_acc = float("nan")
+            history["train_loss"].append(loss_value)
+            history["val_acc"].append(val_acc)
+            if select and val_acc > best_acc:
+                best_acc = val_acc
+                best = optimizer.values.copy()
     if select:
         optimizer.values[...] = best
     return params, history

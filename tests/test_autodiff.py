@@ -1,6 +1,12 @@
 """Every adjoint is checked against central finite differences: the
 program's nodes and the elementary operations of the tests' reference."""
 
+import multiprocessing
+import os
+import signal
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,6 +133,168 @@ class TestFusedRowLoss:
         for t in params:
             numeric = fd_grad(lambda: 3.0 * float(loss().data), t.data)
             assert np.allclose(t.grad, numeric, atol=1e-6), (t.grad, numeric)
+
+
+def helper_case(rows, layers, hidden=4, seed=11):
+    """Rows, labels, parameter shapes and parameters of a small per-row network."""
+    rng = np.random.default_rng(seed)
+    x, side = rng.standard_normal((rows, 3)), rng.standard_normal((rows, 2))
+    labels = rng.integers(0, 2, rows)
+    shapes = [(3, hidden)] + [(hidden + 2, hidden)] * (layers - 1) + [(hidden, 2), (2,)]
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    return x, side, labels, shapes, params
+
+
+def helped_loss(x, side, labels, params, helper):
+    return ad.relu_layers_loss(x, side, params[:-2], params[-2], params[-1], labels, helper)
+
+
+def slow_down(monkeypatch, side):
+    """Make each block take 20 ms longer in ``side``: "helper" or "caller"."""
+    if side is None:
+        return
+    caller, kernel = os.getpid(), ad._cross_entropy_rows
+
+    def slowed(*args):
+        if (os.getpid() == caller) == (side == "caller"):
+            time.sleep(0.02)
+        return kernel(*args)
+
+    monkeypatch.setattr(ad, "_cross_entropy_rows", slowed)
+
+
+def process_gone(pid: int) -> bool:
+    """Whether ``pid`` has exited: no such process, or a zombie nobody reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestLossHelper:
+    """A forked helper runs a prefix of the loss's row blocks; every sum
+    keeps the serial order, so value and gradients keep their bits."""
+
+    # hidden 4 at 8 elements a block: 2 rows a block, so 3 rows are 2 blocks
+    # with a ragged last one, 5 rows 3 blocks, 8 rows 4 and 9 rows 5; a side
+    # slowed down leaves most blocks to the other
+    @pytest.mark.parametrize("slow", [None, "helper", "caller"])
+    @pytest.mark.parametrize("rows", [3, 5, 8, 9, 40])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_bit_identical_to_serial(self, rows, layers, slow, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 8)
+        x, side, labels, shapes, params = helper_case(rows, layers)
+        slow_down(monkeypatch, slow)
+
+        def value_and_grads(helper):
+            ad.zero_grads(params)
+            out = helped_loss(x, side, labels, params, helper)
+            ops.mul(out, 3.0).backward()
+            return [out.data, *(t.grad for t in params)]
+
+        with ad.LossHelper(x, side, labels, shapes) as helper:
+            # each call hands the helper new parameters through the same buffer
+            for step in range(3):
+                serial = value_and_grads(None)
+                helped = value_and_grads(helper)
+                for a, b in zip(helped, serial):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                for t in params:
+                    t.data = t.data + 0.25 * np.sin(t.data + step)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("slow", ["helper", "caller"])
+    def test_the_faster_side_runs_more_blocks(self, slow, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 8)
+        x, side, labels, shapes, params = helper_case(16, 1)  # 8 blocks
+        slow_down(monkeypatch, slow)
+        caller, block_terms, ran = os.getpid(), ad._block_terms, []
+
+        def counted(*args):
+            if os.getpid() == caller:
+                ran.append(args[-1])
+            return block_terms(*args)
+
+        monkeypatch.setattr(ad, "_block_terms", counted)
+        with ad.LossHelper(x, side, labels, shapes) as helper:
+            helped_loss(x, side, labels, params, helper)
+        # the caller takes blocks from the back, one at a time
+        assert ran == ad._row_blocks(16, 4)[::-1][:len(ran)]
+        assert len(ran) >= 6 if slow == "helper" else len(ran) <= 2
+
+    def test_helper_serves_its_own_rows_only(self, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 8)
+        x, side, labels, shapes, params = helper_case(8, 1)
+        with ad.LossHelper(x, side, labels, shapes) as helper:
+            with pytest.raises(ValueError, match="other rows"):
+                helped_loss(x.copy(), side, labels, params, helper)
+
+    def test_one_cpu_or_one_block_starts_no_process(self, monkeypatch):
+        x, side, labels, shapes, _ = helper_case(40, 1)
+        monkeypatch.setattr(ad, "LossHelper", None)  # any start would fail
+        for block_elements, cpus in ((8, 1), (4 * 40, 2)):
+            monkeypatch.setattr(ad, "BLOCK_ELEMENTS", block_elements)
+            with ad.loss_helper(x, side, labels, shapes, cpus) as helper:
+                assert helper is None
+
+    def test_failing_helper_reports_its_error_and_exits(self, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 8)
+        x, side, labels, shapes, params = helper_case(8, 1)
+        parent, kernel = os.getpid(), ad._cross_entropy_rows
+
+        def failing_in_the_helper(*args):
+            if os.getpid() != parent:
+                raise MemoryError("no room for the block")
+            time.sleep(0.02)  # leave the helper blocks to take
+            return kernel(*args)
+
+        monkeypatch.setattr(ad, "_cross_entropy_rows", failing_in_the_helper)
+        with ad.LossHelper(x, side, labels, shapes) as helper:
+            with pytest.raises(ad.HelperDiedError,
+                               match="failed: MemoryError: no room for the block"):
+                helped_loss(x, side, labels, params, helper)
+            helper._process.join(10)
+            assert helper._process.exitcode == 1
+        assert_no_child_left()
+
+    def test_killed_helper_raises(self, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 8)
+        x, side, labels, shapes, params = helper_case(8, 1)
+        with ad.LossHelper(x, side, labels, shapes) as helper:
+            helped_loss(x, side, labels, params, helper)
+            os.kill(helper._process.pid, signal.SIGKILL)
+            with pytest.raises(ad.HelperDiedError, match=r"died \(killed by signal 9\)"):
+                helped_loss(x, side, labels, params, helper)
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_helper_exits_when_its_parent_dies(self, monkeypatch):
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 8)
+        x, side, labels, shapes, _ = helper_case(8, 1)
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+
+        def orphan_a_helper():
+            helper = ad.LossHelper(x, side, labels, shapes)
+            writer.send(helper._process.pid)
+            os._exit(0)  # neither closes nor reaps the helper
+
+        middle = context.Process(target=orphan_a_helper)
+        middle.start()
+        assert reader.poll(10)
+        pid = reader.recv()
+        middle.join(10)
+        assert middle.exitcode == 0
+        deadline = time.monotonic() + 10
+        while not process_gone(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert process_gone(pid)
 
 
 class TestAgainstPlainFormulas:

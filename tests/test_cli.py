@@ -1,14 +1,18 @@
 import csv
 import json
+import multiprocessing
 import os
 import pickle
 import re
+import signal
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import fairspect.autodiff
 import fairspect.cli
+import fairspect.limits
 import fairspect.model
 from fairspect.cli import main, sweep_worker_count
 from fairspect.encoding import DegenerateVectorError
@@ -292,6 +296,143 @@ class TestSweep:
         assert list(out.iterdir()) == []
 
 
+def gen_four_block_dataset(tmp_path):
+    """3200 nodes: 1600 train rows, four row blocks of the loss at hidden 64, so
+    the helper and the parent each run two."""
+    edges = tmp_path / "big.edges"
+    attrs = tmp_path / "big.csv"
+    assert main(["gen", "--kind", "sbm", "--n", "3200", "--block_sizes", "1600,1600",
+                 "--p_in", "0.01", "--p_out", "0.002", "--label_flip", "0.3", "--seed", "4",
+                 "--out_edges", str(edges), "--out_attributes", str(attrs)]) == 0
+    return edges, attrs
+
+
+def record_helper_starts(monkeypatch, directory):
+    """Touch a file in ``directory`` for each loss helper started, in any process."""
+    directory.mkdir()
+
+    class Recorded(fairspect.autodiff.LossHelper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            (directory / f"{os.getpid()}-{self._process.pid}").touch()
+
+    monkeypatch.setattr(fairspect.autodiff, "LossHelper", Recorded)
+    return directory
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTrainHelper:
+    """With a second CPU in the budget, ``train`` forks a helper that runs
+    about half of every loss's row blocks; nothing it does shows in the
+    outputs."""
+
+    TRAIN = ["--epochs", "8", "--m", "3", "--d_m", "4", "--missing_rate", "0.3"]
+
+    @pytest.mark.parametrize("spectral_fusion", ["1", "0"])
+    @pytest.mark.parametrize("layers", ["1", "2"])
+    def test_outputs_identical_at_budgets_1_and_2(self, tmp_path, monkeypatch, layers,
+                                                  spectral_fusion):
+        edges, attrs = gen_four_block_dataset(tmp_path)
+        started = record_helper_starts(monkeypatch, tmp_path / "helpers")
+        outs = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus, blas_threads="1")
+            outs[cpus] = tmp_path / f"cpus{cpus}"
+            assert main(["train", "--edges", str(edges), "--attributes", str(attrs),
+                         *self.TRAIN, "--layers", layers, "--spectral_fusion", spectral_fusion,
+                         "--out_dir", str(outs[cpus])]) == 0
+            assert len(list(started.iterdir())) == cpus - 1
+        assert (without_runtime(outs[1] / "report.json")
+                == without_runtime(outs[2] / "report.json"))
+        with np.load(outs[1] / "checkpoint.npz") as serial, \
+                np.load(outs[2] / "checkpoint.npz") as helped:
+            assert serial.files == helped.files
+            for name in serial.files:
+                assert serial[name].tobytes() == helped[name].tobytes(), name
+        assert_no_child_left()
+
+    def test_killed_helper_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        use_cpus(monkeypatch, 2, blas_threads="1")
+        edges, attrs = gen_four_block_dataset(tmp_path)
+        loss, steps = fairspect.model.loss, []
+
+        def kill_after_first_step(*args):
+            steps.append(1)
+            if len(steps) == 2:
+                helpers = multiprocessing.active_children()
+                assert len(helpers) == 1
+                os.kill(helpers[0].pid, signal.SIGKILL)
+            return loss(*args)
+
+        monkeypatch.setattr(fairspect.model, "loss", kill_after_first_step)
+        out = tmp_path / "train"
+        code = main(["train", "--edges", str(edges), "--attributes", str(attrs),
+                     *self.TRAIN, "--out_dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: the loss helper process died (killed by signal 9)")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
+
+    def test_diverging_run_with_helper_exits_2(self, tmp_path, capsys, monkeypatch):
+        use_cpus(monkeypatch, 2, blas_threads="1")
+        edges, attrs = gen_four_block_dataset(tmp_path)
+        started = record_helper_starts(monkeypatch, tmp_path / "helpers")
+        monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned_prepare(lambda config: None))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--edges", str(edges), "--attributes", str(attrs),
+                         *self.TRAIN, "--seed", "1", "--out_dir", str(tmp_path / "train")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: training diverged at epoch 0")
+        assert len(list(started.iterdir())) == 1
+        assert_no_child_left()
+
+    def test_pooled_cells_start_no_helper(self, tmp_path, monkeypatch, sweep_workers):
+        # 8 rows a block at hidden 8: each cell's 24 train rows are 3 blocks
+        monkeypatch.setattr(fairspect.autodiff, "BLOCK_ELEMENTS", 64)
+        edges, attrs = gen_dataset(tmp_path)
+        started = record_helper_starts(monkeypatch, tmp_path / "helpers")
+        common = ["--edges", str(edges), "--attributes", str(attrs), "--epochs", "5",
+                  "--m", "3", "--hidden", "8", "--d_m", "4"]
+        assert main(["sweep", *common, "--out_dir", str(tmp_path / "sweep"),
+                     "--missing_rates", "0.1,0.3", "--seeds", "0,1"]) == 0
+        assert list(started.iterdir()) == []
+        # the same cell, trained alone with the two CPUs, starts one
+        use_cpus(monkeypatch, 2, blas_threads="1")
+        assert main(["train", *common, "--out_dir", str(tmp_path / "train")]) == 0
+        assert len(list(started.iterdir())) == 1
+        assert_no_child_left()
+
+    def test_train_gets_the_budget_and_sweep_cells_a_share(self, tmp_path, monkeypatch):
+        edges, attrs = gen_dataset(tmp_path)
+        given = tmp_path / "given"
+        given.mkdir()
+        train = fairspect.cli.train
+
+        def recorded(data, config, cpus):
+            (given / f"{config.seed}-cpus{cpus}").touch()
+            return train(data, config, cpus=cpus)
+
+        monkeypatch.setattr(fairspect.cli, "train", recorded)
+        common = ["--edges", str(edges), "--attributes", str(attrs), "--epochs", "2",
+                  "--m", "3", "--hidden", "8", "--d_m", "4"]
+        use_cpus(monkeypatch, 4, blas_threads="2")
+        assert main(["train", *common, "--seed", "7", "--out_dir", str(tmp_path / "t")]) == 0
+        # one cell has the whole budget; two cells split it between two workers
+        assert main(["sweep", *common, "--missing_rates", "0.2", "--seeds", "8",
+                     "--out_dir", str(tmp_path / "s1")]) == 0
+        assert main(["sweep", *common, "--missing_rates", "0.2", "--seeds", "5,6",
+                     "--out_dir", str(tmp_path / "s2")]) == 0
+        assert sorted(p.name for p in given.iterdir()) == [
+            "5-cpus1", "6-cpus1", "7-cpus2", "8-cpus2"]
+
+
 class TestSweepWorkerCount:
     def test_unset_blas_threads_give_one_worker(self, monkeypatch):
         use_cpus(monkeypatch, 4)
@@ -402,6 +543,34 @@ class TestVerify:
         assert Counter(calls) == {variant: 3 for variant in {*variants.split(","), "thm1"}}
         assert summary["decay"] == {"checked": 3, "passed": 3, "failed": 0, "skipped": 0,
                                     "pass": True}
+
+    def test_graph_above_oracle_cap_is_solved_once_and_decay_checked(self, tmp_path,
+                                                                      monkeypatch):
+        """A file graph above the dense oracle's cap gets one ARPACK solve of its
+        top two pairs, which every variant and the decay check read."""
+        edges, attrs = tmp_path / "g.edges", tmp_path / "g.csv"
+        assert main(["gen", "--kind", "sbm", "--n", "700", "--block_sizes", "350,350",
+                     "--p_in", "0.05", "--p_out", "0.01", "--seed", "3",
+                     "--out_edges", str(edges), "--out_attributes", str(attrs)]) == 0
+        solves = []
+
+        def counted(solver):
+            def solve(*args, **kwargs):
+                solves.append(solver.__name__)
+                return solver(*args, **kwargs)
+            return solve
+
+        for module in (fairspect.cli, fairspect.limits):
+            for name in ("top_m_eigenpairs", "dense_eigendecomposition"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        out = tmp_path / "verify"
+        assert main(["verify", "--edges", str(edges), "--attributes", str(attrs),
+                     "--multiplicity_count", "0", "--out_dir", str(out)]) == 0
+        assert solves == ["top_m_eigenpairs"]
+        summary = json.loads((out / "verify_summary.json").read_text())
+        assert summary["decay"]["checked"] == 1
+        assert all(summary[variant]["graphs"] == 1 for variant in ("lemma1", "thm1", "thm2"))
 
     @pytest.mark.parametrize("variants, complaint", [
         ("lemma1,thm9", "unknown variant 'thm9'"),

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -741,6 +742,54 @@ class TestTrain:
             with pytest.raises(TrainingDivergedError) as excinfo:
                 train(data, config)
         assert excinfo.value.epoch == 0
+
+
+    @pytest.mark.parametrize("spectral_fusion", [True, False])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_helper_keeps_the_bits_of_one_cpu(self, layers, spectral_fusion, monkeypatch):
+        """At two CPUs a forked helper runs about half of every loss's row
+        blocks for the whole run; parameters and history keep the bits of one
+        CPU."""
+        monkeypatch.setattr(ad, "BLOCK_ELEMENTS", 64)  # hidden 8: 8 rows a block
+        spec = SyntheticSpec(kind="sbm", n=60,
+                             params={"block_sizes": [30, 30], "p_in": 0.3, "p_out": 0.05},
+                             label_flip=0.2, seed=6)
+        graph, attrs, sens, labels = gen_synthetic(spec)
+        sens = apply_missing_mask(sens, 0.3, seed=2)
+        config = TrainConfig(m=3, hidden=8, d_m=4, heads=2, layers=layers, epochs=25,
+                             seed=1, spectral_fusion=spectral_fusion)
+        data = prepare_inputs(graph, attrs, sens, labels, make_split(60, None, 1), config)
+        assert len(ad._row_blocks(len(data.split.train), config.hidden)) == 4
+        started = record_helpers(monkeypatch)
+        serial_params, serial_history = train(data, config, cpus=1)
+        assert started == []
+        params, history = train(data, config, cpus=2)
+        assert len(started) == 1
+        assert history == serial_history
+        assert params.keys() == serial_params.keys()
+        for name, t in params.items():
+            assert t.data.tobytes() == serial_params[name].data.tobytes(), name
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_block_of_train_rows_starts_no_helper(self, monkeypatch):
+        data, config = separable_toy()
+        config.epochs = 5
+        monkeypatch.setattr(ad, "LossHelper", None)  # any start would fail
+        train(data, config, cpus=2)
+
+
+def record_helpers(monkeypatch) -> list:
+    """The loss helpers started from now on, in this process."""
+    started = []
+
+    class Recorded(ad.LossHelper):
+        def __init__(self, *args):
+            super().__init__(*args)
+            started.append(self)
+
+    monkeypatch.setattr(ad, "LossHelper", Recorded)
+    return started
 
 
 class TestAdamAndCheckpoint:
