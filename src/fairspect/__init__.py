@@ -15,7 +15,6 @@ from .graph import (
 from .spectral import (
     SpectralTruncation,
     dense_eigendecomposition,
-    matvec,
     spectral_gap,
     top_m_eigenpairs,
 )

@@ -30,7 +30,9 @@ one block at a time, in block order. Every sum is so formed in the serial
 order, and loss and gradients keep the serial loop's bits.
 
 Everything runs in float64. Constants (graph data, eigenvector bases) enter
-as Tensors with ``requires_grad=False`` and receive no gradient.
+as plain arrays, closed over by the nodes that read them, and receive no
+gradient; only the elementary reference in ``tests/elementary.py`` wraps
+them in Tensors.
 """
 
 from __future__ import annotations

@@ -167,6 +167,21 @@ def _grid_flag(kind: type, items: str):
     return parse
 
 
+def _nonnegative(kind: type):
+    """argparse ``type`` of a count or tolerance: a value that does not parse,
+    or is negative, infinite or NaN, is an error naming the flag."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite nonnegative {kind.__name__}, got {text!r}")
+        return value
+    return parse
+
+
 def _variant_list(text: str) -> list[str]:
     """argparse ``type`` of ``--variants``: no name, or an unknown or repeated
     one, is an error."""
@@ -285,7 +300,7 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
     yhat = predict(params, data.take(test), config)
     runtime = time.perf_counter() - started
     report = build_report(
-        yhat, labels[test], sensitive.values[test], np.arange(len(test)),
+        yhat, labels[test], sensitive.values[test],
         dataset=dataset, missing_rate=report_rate, seed=config.seed,
         config=config.as_dict(), runtime_s=runtime,
     )
@@ -511,6 +526,8 @@ def _verify_battery(args):
     for flag, needed in (("attributes", "edges"), ("mask", "attributes")):
         if getattr(args, flag) and not getattr(args, needed):
             raise ValueError(f"verify reads --{flag} only with --{needed}")
+    if not args.edges and args.suite_size < 1:
+        raise ValueError("verify needs --suite_size of at least 1 without --edges")
     if args.edges:
         graph = load_edge_list(Path(args.edges).read_text(encoding="utf-8"))
         if args.attributes:
@@ -688,10 +705,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--mask", type=str, default=None)
     ver.add_argument("--variants", type=_variant_list, default=",".join(VARIANTS))
     ver.add_argument("--k_max", type=int, default=40)
-    ver.add_argument("--tol", type=float, default=1e-6)
-    ver.add_argument("--decay_tolerance", type=float, default=0.10)
-    ver.add_argument("--suite_size", type=int, default=20)
-    ver.add_argument("--multiplicity_count", type=int, default=10)
+    ver.add_argument("--tol", type=_nonnegative(float), default=1e-6)
+    ver.add_argument("--decay_tolerance", type=_nonnegative(float), default=0.10)
+    ver.add_argument("--suite_size", type=_nonnegative(int), default=20)
+    ver.add_argument("--multiplicity_count", type=_nonnegative(int), default=10)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out_dir", type=str, default=None)
     ver.set_defaults(func=cmd_verify)

@@ -30,10 +30,6 @@ def accuracy(yhat, y, eval_idx) -> float:
     return float(np.mean(yh == yy))
 
 
-def positive_rate(yhat) -> float:
-    return float(np.mean(np.asarray(yhat) == 1))
-
-
 def _population_variance(values) -> float:
     # plain two-pass definition, so results are reproducible bit-for-bit
     # against any direct reimplementation of Var
@@ -41,44 +37,65 @@ def _population_variance(values) -> float:
     return sum((v - mean) ** 2 for v in values) / len(values)
 
 
+def _group_rates(yhat, y, s) -> tuple[dict, dict]:
+    """Positive rate and TPR per group, in ascending group order; a group
+    without label positives has no TPR, and ``y`` None gives no TPRs.
+
+    One pass over the rows: ``np.unique`` ranks each row's group, and one
+    ``bincount`` over (rank, outcome) counts members, predicted positives,
+    label positives and true positives per group. Ranks, not the class ids
+    (which reach 2^63 - 1), keep the table one row per group. A rate is one
+    count over another, so it has the bits of the mean of a 0/1 mask.
+    """
+    groups, rank = np.unique(np.asarray(s), return_inverse=True)
+    outcome = (np.asarray(yhat) == 1).astype(np.int64)
+    if y is not None:
+        outcome += 2 * (np.asarray(y) == 1)
+    # per group: neither, predicted only, label only, both
+    cells = np.bincount(4 * rank + outcome, minlength=4 * len(groups)).reshape(-1, 4)
+    predicted, positives = cells[:, 1] + cells[:, 3], cells[:, 2] + cells[:, 3]
+    has = positives > 0
+    rates = dict(zip(groups.tolist(), (predicted / cells.sum(axis=1)).tolist()))
+    tprs = dict(zip(groups[has].tolist(), (cells[has, 3] / positives[has]).tolist()))
+    return rates, tprs
+
+
+_NO_MEMBERS = "group {} empty on evaluation set"
+_NO_POSITIVES = "group {} has no positive nodes"
+
+
+def _gap_0_1(rates: dict, undefined: str) -> float:
+    """|rate of group 0 - rate of group 1|; ``undefined`` names a group without a rate."""
+    for group in (0, 1):
+        if group not in rates:
+            raise UndefinedMetricError(undefined.format(group))
+    return abs(rates[0] - rates[1])
+
+
+def _variances(rates: dict, tprs: dict) -> tuple[float, float]:
+    if len(rates) < 2:
+        raise UndefinedMetricError("variance metrics need at least two groups")
+    for group in rates:
+        if group not in tprs:
+            # stacklevel 3: the caller of the public function
+            warnings.warn(f"group {group} has no positives; excluded from TPR variance",
+                          stacklevel=3)
+    if len(tprs) < 2:
+        raise UndefinedMetricError("fewer than two groups have positive nodes")
+    return _population_variance(list(rates.values())), _population_variance(list(tprs.values()))
+
+
 def statistical_parity(yhat, s_true, eval_idx) -> float:
     """Absolute gap in positive prediction rates between groups 0 and 1."""
     yh, s = _restrict((yhat, s_true), eval_idx)
-    rates = []
-    for group in (0, 1):
-        mask = s == group
-        if not mask.any():
-            raise UndefinedMetricError(f"group {group} empty on evaluation set")
-        rates.append(positive_rate(yh[mask]))
-    return abs(rates[0] - rates[1])
+    rates, _ = _group_rates(yh, None, s)
+    return _gap_0_1(rates, _NO_MEMBERS)
 
 
 def equal_opportunity(yhat, y, s_true, eval_idx) -> float:
     """Absolute gap in true positive rates between groups 0 and 1."""
-    yh, yy, s = _restrict((yhat, y, s_true), eval_idx)
-    tprs = []
-    for group in (0, 1):
-        mask = (s == group) & (yy == 1)
-        if not mask.any():
-            raise UndefinedMetricError(f"group {group} has no positive nodes")
-        tprs.append(positive_rate(yh[mask]))
-    return abs(tprs[0] - tprs[1])
-
-
-def group_positive_rates(yhat, s_true, eval_idx) -> dict[int, float]:
-    yh, s = _restrict((yhat, s_true), eval_idx)
-    return {int(g): positive_rate(yh[s == g]) for g in np.unique(s)}
-
-
-def group_tprs(yhat, y, s_true, eval_idx) -> dict[int, float]:
-    """TPR per group; groups without positives are omitted."""
-    yh, yy, s = _restrict((yhat, y, s_true), eval_idx)
-    out = {}
-    for g in np.unique(s):
-        mask = (s == g) & (yy == 1)
-        if mask.any():
-            out[int(g)] = positive_rate(yh[mask])
-    return out
+    _, tprs = _group_rates(*_restrict((yhat, y, s_true), eval_idx))
+    return _gap_0_1(tprs, _NO_POSITIVES)
 
 
 def multiclass_variance_metrics(yhat, y, s_true, eval_idx) -> tuple[float, float]:
@@ -88,22 +105,7 @@ def multiclass_variance_metrics(yhat, y, s_true, eval_idx) -> tuple[float, float
     positive ground-truth nodes are excluded from the TPR variance with a
     warning. Fewer than two usable groups on either side is an error.
     """
-    yh, yy, s = _restrict((yhat, y, s_true), eval_idx)
-    groups = np.unique(s)
-    if len(groups) < 2:
-        raise UndefinedMetricError("variance metrics need at least two groups")
-    rates = [positive_rate(yh[s == g]) for g in groups]
-    tprs = []
-    for g in groups:
-        mask = (s == g) & (yy == 1)
-        if not mask.any():
-            warnings.warn(f"group {int(g)} has no positives; excluded from TPR variance",
-                          stacklevel=2)
-            continue
-        tprs.append(positive_rate(yh[mask]))
-    if len(tprs) < 2:
-        raise UndefinedMetricError("fewer than two groups have positive nodes")
-    return _population_variance(rates), _population_variance(tprs)
+    return _variances(*_group_rates(*_restrict((yhat, y, s_true), eval_idx)))
 
 
 @dataclass
@@ -148,36 +150,32 @@ def build_report(
     yhat,
     y,
     sensitive_values,
-    eval_idx,
     dataset: str,
     missing_rate: float,
     seed: int,
     config: dict,
     runtime_s: float,
 ) -> FairnessReport:
-    """Score predictions on the evaluation set and assemble the report.
+    """Score predictions on every given row and assemble the report.
 
     Binary sensitive attributes use the absolute-gap metrics; more than two
     groups switch to the variance metrics. Gaps are stored as percentages.
     """
-    idx = np.asarray(eval_idx, dtype=np.int64)
-    groups = set(np.unique(np.asarray(sensitive_values)[idx]).tolist())
-    if groups == {0, 1}:
-        d_sp = statistical_parity(yhat, sensitive_values, idx)
-        d_eo = equal_opportunity(yhat, y, sensitive_values, idx)
+    rates, tprs = _group_rates(yhat, y, sensitive_values)
+    if set(rates) == {0, 1}:
+        d_sp, d_eo = _gap_0_1(rates, _NO_MEMBERS), _gap_0_1(tprs, _NO_POSITIVES)
     else:
         # more than two groups, or class ids that are not the binary 0/1
-        d_sp, d_eo = multiclass_variance_metrics(yhat, y, sensitive_values, idx)
-    rates = {str(g): r for g, r in group_positive_rates(yhat, sensitive_values, idx).items()}
-    tprs = {str(g): r for g, r in group_tprs(yhat, y, sensitive_values, idx).items()}
+        d_sp, d_eo = _variances(rates, tprs)
     return FairnessReport(
         dataset=dataset,
         missing_rate=missing_rate,
         seed=seed,
-        accuracy=accuracy(yhat, y, idx),
+        accuracy=float(np.mean(np.asarray(yhat) == np.asarray(y))),
         delta_sp=100.0 * d_sp,
         delta_eo=100.0 * d_eo,
-        group_rates={"positive_rate": rates, "tpr": tprs},
+        group_rates={"positive_rate": {str(g): r for g, r in rates.items()},
+                     "tpr": {str(g): r for g, r in tprs.items()}},
         config=config,
         runtime_s=runtime_s,
     )

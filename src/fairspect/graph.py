@@ -151,9 +151,6 @@ class Graph:
         if len(self.col_indices) != 2 * self.edge_count:
             raise ValueError("stored entries must equal 2 * edge_count")
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.col_indices[self.row_offsets[i]:self.row_offsets[i + 1]]
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.row_offsets)
 

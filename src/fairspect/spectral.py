@@ -63,14 +63,6 @@ class SpectralTruncation:
         return self.eigenvectors[:, 0]
 
 
-def matvec(graph: Graph, x: np.ndarray) -> np.ndarray:
-    """Adjacency product: y[i] = sum of x over the neighbours of i."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (graph.n,):
-        raise ValueError(f"vector has length {x.shape}, graph has {graph.n} nodes")
-    return graph.to_scipy() @ x
-
-
 def _magnitudes_tied(a: float, b: float) -> bool:
     return abs(abs(a) - abs(b)) <= MAGNITUDE_TIE_RTOL * max(1.0, abs(a), abs(b))
 
@@ -228,29 +220,3 @@ def spectral_gap(trunc: SpectralTruncation) -> float:
         raise ValueError("dominant eigenvalue is zero")
     return abs(float(trunc.eigenvalues[1])) / lead
 
-
-def subspace_residual(
-    vector: np.ndarray,
-    value: float,
-    oracle: SpectralTruncation,
-    cluster_tol: float = 1e-6,
-) -> float:
-    """Distance from ``vector`` to the oracle eigenspace matching ``value``.
-
-    The eigenspace is the span of all oracle eigenvectors whose eigenvalue
-    lies within ``cluster_tol`` (relative) of ``value``; comparing against the
-    span rather than a single column makes the check meaningful for
-    degenerate eigenvalues.
-    """
-    sel = np.abs(oracle.eigenvalues - value) <= cluster_tol * max(1.0, abs(value))
-    if not sel.any():
-        return float(np.linalg.norm(vector))
-    basis = oracle.eigenvectors[:, sel]
-    return float(np.linalg.norm(vector - basis @ (basis.T @ vector)))
-
-
-def rayleigh_quotient(graph: Graph, vector: np.ndarray) -> float:
-    denom = float(vector @ vector)
-    if denom == 0.0:
-        raise ValueError("zero vector has no Rayleigh quotient")
-    return float(vector @ matvec(graph, vector)) / denom

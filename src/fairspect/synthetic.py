@@ -46,6 +46,10 @@ class SyntheticSpec:
             raise ValueError("label_flip must be in [0, 1]")
         if self.sensitive_classes < 2:
             raise ValueError("need at least two sensitive classes")
+        for key in ("p", "p_in", "p_out"):
+            if key in self.params and not 0.0 <= float(self.params[key]) <= 1.0:
+                raise ValueError(f"{key} must be a probability in [0, 1], "
+                                 f"got {self.params[key]!r}")
 
 
 def _build_topology(spec: SyntheticSpec, rng: np.random.Generator):

@@ -62,6 +62,26 @@ def sensitive_column(values, present=None):
     return SensitiveColumn(values=values, present=np.asarray(present, dtype=bool))
 
 
+def neighbors(graph, i: int) -> np.ndarray:
+    """Node i's neighbours, ascending: its slice of the CSR column indices."""
+    return graph.col_indices[graph.row_offsets[i]:graph.row_offsets[i + 1]]
+
+
+def subspace_residual(vector, value: float, oracle, cluster_tol: float = 1e-6) -> float:
+    """Distance from ``vector`` to the oracle eigenspace matching ``value``.
+
+    The eigenspace is the span of all oracle eigenvectors whose eigenvalue
+    lies within ``cluster_tol`` (relative) of ``value``; comparing against the
+    span rather than a single column makes the check meaningful for
+    degenerate eigenvalues.
+    """
+    sel = np.abs(oracle.eigenvalues - value) <= cluster_tol * max(1.0, abs(value))
+    if not sel.any():
+        return float(np.linalg.norm(vector))
+    basis = oracle.eigenvectors[:, sel]
+    return float(np.linalg.norm(vector - basis @ (basis.T @ vector)))
+
+
 def array_digest(*arrays) -> str:
     """sha256 over the dtype, shape and bytes of each array, in order."""
     digest = hashlib.sha256()

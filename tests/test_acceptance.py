@@ -37,12 +37,11 @@ from fairspect.model import (
 )
 from fairspect.spectral import (
     dense_eigendecomposition,
-    subspace_residual,
     top_m_eigenpairs,
 )
 from fairspect.synthetic import SyntheticSpec, gen_synthetic
 
-from conftest import sensitive_column
+from conftest import sensitive_column, subspace_residual
 
 
 def _criterion(num, name, ok, detail=""):

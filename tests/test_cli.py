@@ -113,6 +113,21 @@ class TestGen:
                                "d_eo", "group_rates", "config", "runtime_s"}
         assert (out / "checkpoint.npz").exists()
 
+    @pytest.mark.parametrize("probabilities, flag", [
+        # 1.5 would write the complete graph, -1 and nan an edgeless one
+        (["--kind", "erdos_renyi", "--p", "1.5"], "p"),
+        (["--kind", "sbm", "--block_sizes", "5,5", "--p_in", "-1"], "p_in"),
+        (["--kind", "sbm", "--block_sizes", "5,5", "--p_out", "nan"], "p_out"),
+    ])
+    def test_probability_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
+                                                              probabilities, flag):
+        edges, attrs = tmp_path / "g.edges", tmp_path / "g.csv"
+        code = main(["gen", *probabilities, "--n", "10", "--out_edges", str(edges),
+                     "--out_attributes", str(attrs)])
+        assert code == 1
+        assert f"{flag} must be a probability in [0, 1]" in capsys.readouterr().err
+        assert not edges.exists() and not attrs.exists()
+
 
 class TestMask:
     def test_mask_file_has_exact_count(self, tmp_path):
@@ -593,6 +608,40 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "--variants" in err and complaint in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--suite_size", "-1"], "--suite_size"),
+        (["--multiplicity_count", "-2"], "--multiplicity_count"),
+        (["--tol", "nan"], "--tol"),
+        # "--tol -1e-6" would read -1e-6 as a flag
+        (["--tol=-1e-6"], "--tol"),
+        (["--decay_tolerance", "inf"], "--decay_tolerance"),
+        (["--decay_tolerance", "nan"], "--decay_tolerance"),
+    ])
+    def test_negative_or_nonfinite_flag_is_usage_error(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "verify"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--suite_size", "2", *flags, "--out_dir", str(out)])
+        assert excinfo.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_battery_is_usage_error(self, tmp_path, capsys):
+        # no graph checked would still print PASS
+        out = tmp_path / "verify"
+        code = main(["verify", "--suite_size", "0", "--multiplicity_count", "0",
+                     "--out_dir", str(out)])
+        assert code == 1
+        assert "--suite_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_suite_size_is_unused_with_edges(self, tmp_path):
+        edges, attrs = write_k3(tmp_path)
+        mask = tmp_path / "mask.ids"
+        mask.write_text("2\n")
+        assert main(["verify", "--edges", str(edges), "--attributes", str(attrs),
+                     "--mask", str(mask), "--suite_size", "0", "--k_max", "30",
+                     "--multiplicity_count", "0", "--out_dir", str(tmp_path / "verify")]) == 0
 
     def test_attributes_without_edges_is_usage_error(self, tmp_path, capsys):
         # the synthetic battery would run and never open either file

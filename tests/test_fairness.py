@@ -1,4 +1,7 @@
+import hashlib
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -171,7 +174,7 @@ class TestReport:
         yhat = np.array([1, 0, 1, 0])
         y = np.array([1, 0, 0, 1])
         s = np.array([0, 1, 0, 1])
-        report = build_report(yhat, y, s, idx(4), dataset="toy", missing_rate=0.1,
+        report = build_report(yhat, y, s, dataset="toy", missing_rate=0.1,
                               seed=3, config={"m": 4}, runtime_s=0.5)
         payload = report.to_json_dict()
         assert set(payload) == {"dataset", "missing_rate", "seed", "acc", "d_sp",
@@ -182,7 +185,7 @@ class TestReport:
         yhat = np.array([1, 1, 0, 0, 1, 0, 0, 0])
         y = np.ones(8, dtype=int)
         s = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        report = build_report(yhat, y, s, idx(8), dataset="toy", missing_rate=0.0,
+        report = build_report(yhat, y, s, dataset="toy", missing_rate=0.0,
                               seed=0, config={}, runtime_s=0.0)
         assert report.delta_sp == pytest.approx(25.0)  # 0.25 as a percentage
         assert 0.0 <= report.accuracy <= 1.0
@@ -191,7 +194,7 @@ class TestReport:
         yhat = np.array([1, 0, 1, 0, 1, 0])
         y = np.ones(6, dtype=int)
         s = np.array([0, 0, 1, 1, 2, 2])
-        report = build_report(yhat, y, s, idx(6), dataset="toy", missing_rate=0.0,
+        report = build_report(yhat, y, s, dataset="toy", missing_rate=0.0,
                               seed=0, config={}, runtime_s=0.0)
         assert report.delta_sp == pytest.approx(0.0)
 
@@ -199,7 +202,7 @@ class TestReport:
         yhat = np.array([1, 1, 0, 0, 1, 0, 0, 0])
         y = np.ones(8, dtype=int)
         s = np.array([0, 0, 0, 0, 2, 2, 2, 2])  # two groups but ids {0, 2}
-        report = build_report(yhat, y, s, idx(8), dataset="toy", missing_rate=0.0,
+        report = build_report(yhat, y, s, dataset="toy", missing_rate=0.0,
                               seed=0, config={}, runtime_s=0.0)
         assert report.delta_sp == pytest.approx(100 * 0.015625)
 
@@ -210,3 +213,71 @@ class TestReport:
         with pytest.raises(ValueError):
             FairnessReport(dataset="x", missing_rate=0.0, seed=0, accuracy=0.5,
                            delta_sp=-1.0, delta_eo=0.0)
+
+
+def seeded_predictions(seed, n, group_ids, without_positives=()):
+    """Random predictions and labels over ``n`` rows in which every group of
+    ``group_ids`` appears; groups in ``without_positives`` get no positive label."""
+    rng = np.random.default_rng(seed)
+    group_ids = np.array(group_ids, dtype=np.int64)
+    s = rng.choice(group_ids, size=n)
+    s[:len(group_ids)] = group_ids
+    y = rng.integers(0, 2, n)
+    y[np.isin(s, without_positives)] = 0
+    yhat = rng.integers(0, 2, n)
+    return yhat, y, s
+
+
+def report_bytes(yhat, y, s) -> bytes:
+    report = build_report(yhat, y, s, dataset="pinned", missing_rate=0.3,
+                          seed=7, config={"m": 8}, runtime_s=0.0)
+    return json.dumps(report.to_json_dict(), sort_keys=True).encode()
+
+
+class TestReportBytes:
+    """sha256 of the report's JSON over seeded predictions, pinned so a rewrite
+    of the scoring keeps every bit of every rate and gap."""
+
+    CASES = {
+        "binary": (dict(seed=1, n=500, group_ids=[0, 1]),
+                   "aac87102ea4f663fbda99dc733016de278826e5338327e348a7723168f5853b9"),
+        "three_groups": (dict(seed=2, n=300, group_ids=[0, 1, 2]),
+                         "a9b2b4733289a3c8cfc413c894fdb51ea099e8515cb70c1659f2727cebaece7d"),
+        "five_groups": (dict(seed=3, n=400, group_ids=[0, 1, 2, 3, 4]),
+                        "112984ca3a629cf4dc9f202f66913e1e39031feba7e5e3fb4f985302b782bf5b"),
+        "ids_0_2": (dict(seed=4, n=200, group_ids=[0, 2]),
+                    "0c7f5b8adb392454e49710496beb5e3360abb0cd87b1cc3904d40b717ae07020"),
+        "group_without_positives": (dict(seed=5, n=300, group_ids=[0, 1, 2, 3],
+                                         without_positives=[2]),
+                                    "6061d0046d777a0d7eba68f3bfd75234c8f7ef78b5dff7183753352d8bd52de2"),
+        "class_id_2_62": (dict(seed=6, n=300, group_ids=[0, 1, 2 ** 62]),
+                          "1e01d79dcf813f679bd834dfe52780220a7a893e204ea0f5244694b52bdd81b0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_digest(self, case):
+        spec, expected = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            payload = report_bytes(*seeded_predictions(**spec))
+        assert hashlib.sha256(payload).hexdigest() == expected
+
+    def test_no_positives_warnings_in_ascending_group_order(self):
+        yhat, y, s = seeded_predictions(seed=8, n=300, group_ids=[0, 1, 2, 3, 9],
+                                        without_positives=[9, 1, 3])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report_bytes(yhat, y, s)
+        assert [str(w.message) for w in caught] == [
+            f"group {g} has no positives; excluded from TPR variance" for g in (1, 3, 9)]
+
+    def test_huge_class_id_costs_memory_by_rows_not_by_id(self):
+        # a table indexed by the raw id would need 2^62 cells
+        predictions = seeded_predictions(seed=6, n=300, group_ids=[0, 1, 2 ** 62])
+        tracemalloc.start()
+        try:
+            report_bytes(*predictions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

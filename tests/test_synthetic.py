@@ -106,6 +106,17 @@ class TestGenerators:
         with pytest.raises(ValueError):
             SyntheticSpec(kind="erdos_renyi", n=4, sensitive_correlation=1.5)
 
+    @pytest.mark.parametrize("kind, params", [
+        ("erdos_renyi", {"p": 1.5}),
+        ("erdos_renyi", {"p": float("nan")}),
+        ("sbm", {"block_sizes": [2, 2], "p_in": -0.1}),
+        ("sbm", {"block_sizes": [2, 2], "p_out": float("nan")}),
+        ("disjoint_cliques", {"sizes": [2, 2], "p_in": 2.0}),
+    ])
+    def test_rejects_probabilities_outside_unit_interval(self, kind, params):
+        with pytest.raises(ValueError, match="must be a probability in"):
+            SyntheticSpec(kind=kind, n=4, params=params)
+
 
 class TestSamplerPinned:
     """The generators' draws are pinned: a change that redraws any kind's
