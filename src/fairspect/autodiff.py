@@ -1,18 +1,16 @@
-"""Reverse-mode automatic differentiation over numpy arrays, for the nodes
-training runs.
+"""Reverse-mode automatic differentiation over numpy arrays, and the per-row
+network that training differentiates.
 
 A small tape: every Tensor produced by a node keeps its parents and a closure
-routing the output gradient back to them. A step's tape holds two kinds of
-node, each with a hand-written adjoint whose correctness the tests pin
-against finite differences and against the same network composed from
-elementary operations (``tests/elementary.py``): ``fused`` makes a node from
-a closed form written elsewhere (``model.spectral_stage``), and
-``relu_layers_loss`` is the whole per-row network (ReLU fusion layers and
-the linear head) and its mean cross entropy as one node, which streams the
-rows in blocks of ``BLOCK_ELEMENTS`` and keeps only the gradient sums.
-``slice_rows`` cuts a layer's weight out of the stage's stacked value, and
-``relu_layers_logits`` runs the loss's block loop for prediction and builds
-no node.
+routing the output gradient back to them. ``fused`` makes a node from a
+closed form written elsewhere; a training step's tape is one such node,
+``model.loss``. ``relu_layers_loss`` is the closed form it wraps for the
+per-row network (ReLU fusion layers and the linear head): it streams the rows
+in blocks of ``BLOCK_ELEMENTS`` and returns the mean cross entropy and the
+gradient sums as plain arrays. ``relu_layers_logits`` runs the same block
+loop for prediction. The tests pin both against finite differences and
+against the network composed from elementary operations
+(``tests/elementary.py``).
 
 A block's arrays are all released before the next block allocates its own,
 so each block reuses the memory the last one freed rather than touching
@@ -119,17 +117,6 @@ def zero_grads(tensors):
         t.grad = None
 
 
-def slice_rows(a: Tensor, start: int, stop: int | None = None) -> Tensor:
-    """Rows ``start:stop`` of ``a``; the adjoint is zero outside them."""
-
-    def adjoint(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return [full]
-
-    return fused(a.data[start:stop], (a,), adjoint)
-
-
 def _row_blocks(rows: int, hidden: int) -> list[slice]:
     """Blocks of ``BLOCK_ELEMENTS // hidden`` rows, the last one ragged."""
     step = max(1, BLOCK_ELEMENTS // hidden)
@@ -169,19 +156,19 @@ def relu_layers_logits(x: np.ndarray, side: np.ndarray, weights, head_w: np.ndar
     return logits
 
 
-def relu_layers_loss(x: np.ndarray, side: np.ndarray, weights, head_w, head_b,
-                     labels, helper: LossHelper | None = None) -> Tensor:
-    """Mean cross entropy of the per-row network's logits, as one node.
+def relu_layers_loss(x: np.ndarray, side: np.ndarray, weights, head_w: np.ndarray,
+                     head_b: np.ndarray, labels, helper: LossHelper | None = None):
+    """Mean cross entropy of the per-row network's logits, and its gradient
+    with respect to each weight, then the head's weight and bias.
 
-    ``x`` and ``side`` are constants; the parents are the weights and the head.
     The network runs block by block (``_row_blocks``), and each block is
     differentiated as soon as it is computed: the row-local gradient
     (p - y) / N goes back through the head and the ReLU layers, masked in
     place, into running sums of the parameter gradients. Those sums are all
-    the node keeps besides the per-row losses; no rows x hidden array
-    outlives its block. The adjoint scales them by the upstream gradient.
-    Loss and gradients are those of the mean cross entropy over the network
-    composed from elementary nodes, up to the rounding of the block sums.
+    that is kept besides the per-row losses; no rows x hidden array outlives
+    its block. Loss and gradients are those of the mean cross entropy over
+    the network composed from elementary nodes, up to the rounding of the
+    block sums.
 
     With a ``helper`` started for these rows, the blocks are split between
     the helper and this process (``LossHelper.sums``); every sum is still
@@ -191,18 +178,17 @@ def relu_layers_loss(x: np.ndarray, side: np.ndarray, weights, head_w, head_b,
     labels = _checked_labels(labels, len(x))
     n = len(labels)
     losses = np.empty(n)
-    parents = (*weights, head_w, head_b)
-    arrays = [t.data for t in parents]
+    arrays = [*weights, head_w, head_b]
     if helper is None:
         totals = [np.zeros_like(a) for a in arrays]
-        for rows in _row_blocks(n, head_w.data.shape[0]):
+        for rows in _row_blocks(n, head_w.shape[0]):
             losses[rows], terms = _block_terms(x, side, arrays, labels, rows)
             _add_terms(totals, terms)
     else:
         if x is not helper.x:
             raise ValueError("the helper was started for other rows")
         totals = helper.sums(arrays, losses)
-    return fused(losses.mean(), parents, lambda g: [float(g) * t for t in totals])
+    return losses.mean(), totals
 
 
 def _block_terms(x, side, arrays, labels, rows):
@@ -302,7 +288,7 @@ class LossHelper:
     exits when it is closed, when its parent process changes, or after it
     reports an error; ``sums`` raises ``HelperDiedError`` if it died or
     failed, and closes it on any error. ``shapes`` are those of the loss's
-    parents: the layer weights, then the head's weight and bias.
+    arrays: the layer weights, then the head's weight and bias.
     """
 
     def __init__(self, x: np.ndarray, side: np.ndarray, labels, shapes):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .autodiff import HelperDiedError
 from .encoding import DegenerateVectorError
-from .fairness import UndefinedMetricError, build_report
+from .fairness import UndefinedMetricError, build_report, check_scorable
 from .graph import (
     AttributeTableError,
     EdgeListFormatError,
@@ -167,17 +167,17 @@ def _grid_flag(kind: type, items: str):
     return parse
 
 
-def _nonnegative(kind: type):
+def _at_least(kind: type, least=0):
     """argparse ``type`` of a count or tolerance: a value that does not parse,
-    or is negative, infinite or NaN, is an error naming the flag."""
+    or is below ``least``, infinite or NaN, is an error naming the flag."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not 0 <= value < float("inf"):
+        if value is None or not least <= value < float("inf"):
             raise argparse.ArgumentTypeError(
-                f"expected a finite nonnegative {kind.__name__}, got {text!r}")
+                f"expected a finite {kind.__name__} of at least {least}, got {text!r}")
         return value
     return parse
 
@@ -292,6 +292,8 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
         run_sensitive = sensitive
         report_rate = 0.0
     split = make_split(graph.n, config.train_size, config.seed)
+    # an unscorable test split fails here, not after training
+    check_scorable(labels[split.test], sensitive.values[split.test])
     started = time.perf_counter()
     data = prepare_inputs(graph, attrs, run_sensitive, labels, split, config, trunc=trunc)
     params, _history = train(data, config, cpus=cpus)
@@ -704,11 +706,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--attributes", type=str, default=None)
     ver.add_argument("--mask", type=str, default=None)
     ver.add_argument("--variants", type=_variant_list, default=",".join(VARIANTS))
-    ver.add_argument("--k_max", type=int, default=40)
-    ver.add_argument("--tol", type=_nonnegative(float), default=1e-6)
-    ver.add_argument("--decay_tolerance", type=_nonnegative(float), default=0.10)
-    ver.add_argument("--suite_size", type=_nonnegative(int), default=20)
-    ver.add_argument("--multiplicity_count", type=_nonnegative(int), default=10)
+    ver.add_argument("--k_max", type=_at_least(int, 1), default=40)
+    ver.add_argument("--tol", type=_at_least(float), default=1e-6)
+    ver.add_argument("--decay_tolerance", type=_at_least(float), default=0.10)
+    ver.add_argument("--suite_size", type=_at_least(int), default=20)
+    ver.add_argument("--multiplicity_count", type=_at_least(int), default=10)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out_dir", type=str, default=None)
     ver.set_defaults(func=cmd_verify)

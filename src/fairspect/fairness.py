@@ -72,11 +72,11 @@ def _gap_0_1(rates: dict, undefined: str) -> float:
     return abs(rates[0] - rates[1])
 
 
-def _variances(rates: dict, tprs: dict) -> tuple[float, float]:
+def _variances(rates: dict, tprs: dict, warn: bool = True) -> tuple[float, float]:
     if len(rates) < 2:
         raise UndefinedMetricError("variance metrics need at least two groups")
     for group in rates:
-        if group not in tprs:
+        if warn and group not in tprs:
             # stacklevel 3: the caller of the public function
             warnings.warn(f"group {group} has no positives; excluded from TPR variance",
                           stacklevel=3)
@@ -144,6 +144,17 @@ class FairnessReport:
             "config": self.config,
             "runtime_s": self.runtime_s,
         }
+
+
+def check_scorable(y, sensitive_values):
+    """Raise the ``UndefinedMetricError`` that ``build_report`` would raise,
+    without its warnings: each such error depends on the labels and groups
+    alone, not on the predictions, so a run can be rejected before training."""
+    rates, tprs = _group_rates(y, y, sensitive_values)
+    if set(rates) == {0, 1}:
+        _gap_0_1(tprs, _NO_POSITIVES)
+    else:
+        _variances(rates, tprs, warn=False)
 
 
 def build_report(

@@ -12,12 +12,11 @@ eigenvalues and C = P^T H_padded. The network then runs in two stages:
     per row, shared by both encoders and streamed over row blocks:
         h = H_padded; for each layer, h = ReLU((h || side) W_layer)
         -> linear 2-class head.
-    The first stage is one autodiff node (``spectral_stage``) whose forward and
-    adjoint are written out in closed form. ``loss`` takes the mean cross
-    entropy of the logits as one more node (``autodiff.relu_layers_loss``)
-    that differentiates each block as it goes, and ``forward`` returns the
-    logits alone (``autodiff.relu_layers_logits``). A block's arrays are freed
-    before the next block allocates, so no two blocks' arrays coexist.
+    The first stage (``spectral_stage``) returns the weights and their
+    pullback, both in closed form. ``loss`` is one autodiff node over the
+    parameters: the mean cross entropy, differentiated block by block
+    (``autodiff.relu_layers_loss``), with the layers' gradients taken through
+    the pullback. ``forward`` returns the logits (``relu_layers_logits``).
 
 Here side is P (the top-m eigenvectors) and W_layer the folded weight. Since
 (H_prev || P diag(g) C) W = (H_prev || P) W_folded, that is the spectral
@@ -25,8 +24,7 @@ filter H_train = P diag(g) P^T H_padded followed by ReLU((H_prev || H_train) W),
 computed without building the (rows, d) filtered array; only the rounding of
 the sums differs. The first stage reads no row, so ``train`` computes it
 once per optimiser step and shares it between that step's validation and the
-next step's loss. A step's tape is that stage node, a row slice of it per
-layer, and the loss node.
+next step's loss. A step's tape is the loss node alone.
 
 Given a second CPU, ``train`` forks one helper process for the run
 (``autodiff.LossHelper``). Of each loss's B row blocks the helper takes
@@ -246,29 +244,24 @@ def _normalise_rows(x: np.ndarray):
     return centred * inv, inv
 
 
-def spectral_stage(data: PreparedData, params: dict[str, Tensor],
-                   config: TrainConfig) -> list[Tensor]:
-    """The fusion layers' weights under spectral fusion, from one node whose
-    forward and adjoint are written out in closed form.
+def spectral_stage(data: PreparedData, params: dict[str, Tensor], config: TrainConfig):
+    """The fusion layers' weights under spectral fusion, and their pullback,
+    both written out in closed form.
 
     The eigen-tokens go through a pre-norm transformer block: an attention
     sublayer (layer norm, every head, residual) and a GELU FFN sublayer (layer
     norm, two linear maps, residual). Each layer's gate map turns the result
     into one gate per eigen-direction, and the filter is folded into the
-    fusion weight, (W_upper ; diag(g) C W_lower). The node's value stacks the
-    layers' weights row-wise, and each weight is a row slice of it. The
+    fusion weight, (W_upper ; diag(g) C W_lower). Returns the weights, one
+    array per layer, and ``pullback``, which maps one gradient per layer
+    weight to the gradient of every parameter the stage reads, by name. The
     values are bit-identical to the same stage composed from elementary
     nodes; the gradients agree up to the order of their sums.
     """
     heads = range(config.heads)
     layers = range(config.layers)
-    names = ([f"attn_{kind}_{h}" for h in heads for kind in "qkv"]
-             + ["ln_attn_scale", "ln_attn_shift", "ln_ffn_scale", "ln_ffn_shift",
-                "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2"]
-             + [f"{kind}_{layer}" for layer in layers for kind in ("gate_w", "gate_b", "fuse_w")])
-    p = {name: params[name].data for name in names}
+    p = {name: t.data for name, t in params.items()}
     tokens, coeffs = data.tokens, data.coeffs
-    m = len(coeffs)
     d_head = config.d_m // config.heads
     scale = 1.0 / np.sqrt(d_head)
 
@@ -288,25 +281,22 @@ def spectral_stage(data: PreparedData, params: dict[str, Tensor],
     cdf = 0.5 * (1.0 + erf(u * INV_SQRT2))
     f = u * cdf
     e_gt = f @ p["ffn_w2"] + p["ffn_b2"] + e_mha
-    # per layer: the first row of its weight in the stack, the width of
-    # h_prev, and diag(g) C
-    folds, blocks, start = [], [], 0
+    # per layer: the width of h_prev, and diag(g) C
+    folds, weights = [], []
     for layer in layers:
         fuse_w = p[f"fuse_w_{layer}"]
         upper = fuse_w.shape[0] - data.width
         gc = (e_gt @ p[f"gate_w_{layer}"] + p[f"gate_b_{layer}"]) * coeffs
-        folds.append((start, upper, gc))
-        blocks += [fuse_w[:upper], gc @ fuse_w[upper:]]
-        start += upper + m
+        folds.append((upper, gc))
+        weights.append(np.concatenate([fuse_w[:upper], gc @ fuse_w[upper:]]))
 
-    def adjoint(grad):
+    def pullback(layer_grads):
         grads = {}
         d_gt = np.zeros_like(e_gt)
-        for layer, (start, upper, gc) in zip(layers, folds):
+        for layer, (upper, gc), grad in zip(layers, folds, layer_grads):
             fuse_w, gate_w = p[f"fuse_w_{layer}"], p[f"gate_w_{layer}"]
-            d_lower = grad[start + upper:start + upper + m]
-            grads[f"fuse_w_{layer}"] = np.concatenate([grad[start:start + upper],
-                                                       gc.T @ d_lower])
+            d_lower = grad[upper:]
+            grads[f"fuse_w_{layer}"] = np.concatenate([grad[:upper], gc.T @ d_lower])
             d_gates = ((d_lower @ fuse_w[upper:].T) * coeffs).sum(axis=1, keepdims=True)
             grads[f"gate_w_{layer}"] = e_gt.T @ d_gates
             grads[f"gate_b_{layer}"] = d_gates.sum(axis=0)
@@ -333,51 +323,58 @@ def spectral_stage(data: PreparedData, params: dict[str, Tensor],
                 d_x += d @ p[f"attn_{kind}_{h}"].T
         grads["ln_attn_scale"] = (d_x * y_attn).sum(axis=0)
         grads["ln_attn_shift"] = d_x.sum(axis=0)
-        return [grads[name] for name in names]
+        return grads
 
-    stage = ad.fused(np.concatenate(blocks), [params[name] for name in names], adjoint)
-    return [ad.slice_rows(stage, start, start + upper + m) for start, upper, _ in folds]
+    return weights, pullback
 
 
-def layer_weights(data: PreparedData, params: dict[str, Tensor],
-                  config: TrainConfig) -> list[Tensor]:
-    """One weight per fusion layer over [h_prev | side].
+def layer_weights(data: PreparedData, params: dict[str, Tensor], config: TrainConfig):
+    """One weight per fusion layer over [h_prev | side], as arrays, and their
+    pullback: a gradient per weight in, each parameter's gradient by name out.
 
-    Without spectral fusion that is ``fuse_w_<layer>`` itself. With it, the
-    weights come from ``spectral_stage``:
+    Without spectral fusion the weights are ``fuse_w_<layer>`` themselves.
+    With it, they come from ``spectral_stage``:
     (h_prev || P diag(g) C) W = (h_prev || P) (W_upper ; diag(g) C W_lower),
     with W split at the width of h_prev.
     """
-    if not config.spectral_fusion:
-        return [params[f"fuse_w_{layer}"] for layer in range(config.layers)]
-    return spectral_stage(data, params, config)
+    if config.spectral_fusion:
+        return spectral_stage(data, params, config)
+    names = [f"fuse_w_{layer}" for layer in range(config.layers)]
+    return [params[name].data for name in names], lambda grads: dict(zip(names, grads))
 
 
 def forward(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
-            weights: list[Tensor] | None = None) -> np.ndarray:
+            stage=None) -> np.ndarray:
     """Logits for every node of ``data``, (n, 2), as a plain array.
 
-    ``weights`` are ``layer_weights(data, params, config)``, computed here when
-    not given; any ``data`` of the same run gives the same weights.
+    ``stage`` is ``layer_weights(data, params, config)``, computed here when
+    not given; any ``data`` of the same run gives the same stage.
     """
-    if weights is None:
-        weights = layer_weights(data, params, config)
-    return ad.relu_layers_logits(data.inputs, data.inputs[:, data.width:],
-                                 [w.data for w in weights], params["cls_w"].data,
-                                 params["cls_b"].data)
+    weights, _ = layer_weights(data, params, config) if stage is None else stage
+    return ad.relu_layers_logits(data.inputs, data.inputs[:, data.width:], weights,
+                                 params["cls_w"].data, params["cls_b"].data)
 
 
 def loss(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
-         weights: list[Tensor] | None = None, helper: ad.LossHelper | None = None) -> Tensor:
-    """Mean cross entropy over every node of ``data``, as one autodiff node.
+         stage=None, helper: ad.LossHelper | None = None) -> Tensor:
+    """Mean cross entropy over every node of ``data``, as one autodiff node
+    over the parameters; its adjoint takes the layers' gradients through the
+    stage's pullback.
 
-    ``weights`` as in ``forward``; the logits are those ``forward`` returns.
+    ``stage`` as in ``forward``; the logits are those ``forward`` returns.
     ``helper``, started for ``data``'s rows, runs about half of the row blocks.
     """
-    if weights is None:
-        weights = layer_weights(data, params, config)
-    return ad.relu_layers_loss(data.inputs, data.inputs[:, data.width:], weights,
-                               params["cls_w"], params["cls_b"], data.labels, helper)
+    weights, pullback = layer_weights(data, params, config) if stage is None else stage
+    value, sums = ad.relu_layers_loss(data.inputs, data.inputs[:, data.width:], weights,
+                                      params["cls_w"].data, params["cls_b"].data,
+                                      data.labels, helper)
+
+    def adjoint(g):
+        *layer_grads, d_head_w, d_head_b = [float(g) * t for t in sums]
+        grads = {**pullback(layer_grads), "cls_w": d_head_w, "cls_b": d_head_b}
+        return [grads[name] for name in params]
+
+    return ad.fused(value, tuple(params.values()), adjoint)
 
 
 def loss_on(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
@@ -393,10 +390,7 @@ def gradients(params: dict[str, Tensor], data: PreparedData, config: TrainConfig
         indices = data.split.train
     ad.zero_grads(params.values())
     loss_on(data, params, config, indices).backward()
-    return {
-        name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for name, t in params.items()
-    }
+    return {name: t.grad for name, t in params.items()}
 
 
 class Adam:
@@ -480,8 +474,8 @@ def argmax_predict(logits: np.ndarray) -> np.ndarray:
 
 
 def predict(params: dict[str, Tensor], data: PreparedData, config: TrainConfig,
-            weights: list[Tensor] | None = None) -> np.ndarray:
-    return argmax_predict(forward(data, params, config, weights))
+            stage=None) -> np.ndarray:
+    return argmax_predict(forward(data, params, config, stage))
 
 
 def train(data: PreparedData, config: TrainConfig,
@@ -507,12 +501,12 @@ def train(data: PreparedData, config: TrainConfig,
     select = len(val_rows.labels) > 0  # no validation signal -> keep final params
     best_acc = -1.0
     best = optimizer.values.copy()
-    weights = layer_weights(data, params, config)
-    shapes = [t.data.shape for t in (*weights, params["cls_w"], params["cls_b"])]
+    stage = layer_weights(data, params, config)
+    shapes = [w.shape for w in stage[0]] + [params[n].data.shape for n in ("cls_w", "cls_b")]
     with ad.loss_helper(train_rows.inputs, train_rows.inputs[:, data.width:],
                         train_rows.labels, shapes, cpus) as helper:
         for epoch in range(config.epochs):
-            step_loss = loss(train_rows, params, config, weights, helper)
+            step_loss = loss(train_rows, params, config, stage, helper)
             loss_value = float(step_loss.data)
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(epoch)
@@ -521,9 +515,9 @@ def train(data: PreparedData, config: TrainConfig,
             optimizer.step()
             # the parameters only change here: one weight computation serves
             # this step's validation and the next step's loss
-            weights = layer_weights(data, params, config)
+            stage = layer_weights(data, params, config)
             if select:
-                val_acc = float(np.mean(predict(params, val_rows, config, weights)
+                val_acc = float(np.mean(predict(params, val_rows, config, stage)
                                         == val_rows.labels))
             else:
                 val_acc = float("nan")

@@ -1,14 +1,12 @@
 """The row-independent stage composed from elementary autodiff nodes.
 
-``model.spectral_stage`` runs this stage as one node in closed form; the tests
+``model.spectral_stage`` runs this stage in closed form; the tests
 hold its values and gradients against the composition here, built from the
 operations of ``elementary.py``, whose every adjoint is checked against
 finite differences in ``test_autodiff.py``.
 """
 
 import numpy as np
-
-from fairspect.autodiff import slice_rows
 
 import elementary as ops
 from elementary import Tensor
@@ -80,6 +78,6 @@ def composed_layer_weights(data, params: dict[str, Tensor], config) -> list[Tens
         fuse_w = params[f"fuse_w_{layer}"]
         gates = e_gt @ params[f"gate_w_{layer}"] + params[f"gate_b_{layer}"]
         width = fuse_w.data.shape[0] - data.width
-        weights.append(ops.concat_rows(slice_rows(fuse_w, 0, width),
-                                       (gates * coeffs) @ slice_rows(fuse_w, width)))
+        weights.append(ops.concat_rows(ops.slice_rows(fuse_w, 0, width),
+                                       (gates * coeffs) @ ops.slice_rows(fuse_w, width)))
     return weights

@@ -1,9 +1,10 @@
 """Elementary autodiff operations: the tests' reference for the program's nodes.
 
-The program trains through two closed-form nodes, ``model.spectral_stage``
-and ``autodiff.relu_layers_loss``. The tests hold both against the same
-network composed from the operations here, each of which is checked against
-central finite differences in ``test_autodiff.py``.
+The program trains through one closed-form node, ``model.loss``, built from
+two closed forms: ``model.spectral_stage`` and ``autodiff.relu_layers_loss``.
+The tests hold both against the same network composed from the operations
+here, each of which is checked against central finite differences in
+``test_autodiff.py``.
 
 ``Tensor`` here is the package's ``Tensor`` with operator overloads; the
 operations take either kind, so a reference graph may start from the
@@ -137,6 +138,18 @@ def concat_rows(a, b) -> Tensor:
         _accumulate(b, g[split:])
 
     return _make(np.concatenate([a.data, b.data], axis=0), (a, b), grad_fn)
+
+
+def slice_rows(a, start: int, stop: int | None = None) -> Tensor:
+    """Rows ``start:stop`` of ``a``; the adjoint is zero outside them."""
+    a = _ensure(a)
+
+    def grad_fn(g):
+        full = np.zeros_like(a.data)
+        full[start:stop] = g
+        _accumulate(a, full)
+
+    return _make(a.data[start:stop], (a,), grad_fn)
 
 
 def relu(a) -> Tensor:

@@ -52,6 +52,8 @@ def test_training_reaches_every_traced_global():
     tracer wraps, so ``model.val_predict_s`` and ``model.forward_calls`` count
     real work. The loss streams its own rows through ``model.loss``, which the
     tracer does not wrap, so ``forward`` runs once per epoch, for validation.
+    A step's tape is that one loss node, and ``Tensor.backward`` runs once per
+    epoch, so ``autodiff.backward_calls`` counts steps.
     The position encoding runs once, in ``prepare_inputs``, so
     ``encoding.pe_calls`` counts one per prepared run and none per epoch."""
     from fairspect import cli
@@ -76,6 +78,7 @@ def test_training_reaches_every_traced_global():
     assert len(predicts) == config.epochs
     assert all(spans[span.parent].name == "model.train" for span in predicts)
     assert names.count("model.forward") == config.epochs
+    assert names.count("autodiff.backward") == config.epochs
     encodings = [span for span in spans if span.name == "encoding.position_encoding"]
     assert len(encodings) == 1
     assert spans[encodings[0].parent].name == "model.prepare"

@@ -5,6 +5,7 @@ import os
 import pickle
 import re
 import signal
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -617,6 +618,8 @@ class TestVerify:
         (["--tol=-1e-6"], "--tol"),
         (["--decay_tolerance", "inf"], "--decay_tolerance"),
         (["--decay_tolerance", "nan"], "--decay_tolerance"),
+        # no hop to take: raised before the battery is built
+        (["--k_max", "0"], "--k_max"),
     ])
     def test_negative_or_nonfinite_flag_is_usage_error(self, tmp_path, capsys, flags, flag):
         out = tmp_path / "verify"
@@ -807,6 +810,42 @@ class TestConfigAndExitCodes:
                      "--m", "3", "--epochs", "2", "--out_dir", str(tmp_path / "run")])
         assert code == 2
         assert "max residual nan" in capsys.readouterr().err
+
+    @staticmethod
+    def gen_groups(tmp_path, classes):
+        """Four blocks with ``classes`` sensitive groups and no label flip: a
+        label is its group's parity, so the even groups have no positives."""
+        edges, attrs = tmp_path / "g.edges", tmp_path / "g.csv"
+        assert main(["gen", "--kind", "sbm", "--n", "400", "--block_sizes", "100,100,100,100",
+                     "--p_in", "0.1", "--p_out", "0.01", "--sensitive_classes", str(classes),
+                     "--out_edges", str(edges), "--out_attributes", str(attrs)]) == 0
+        return edges, attrs
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_unscorable_split_is_rejected_before_training(self, tmp_path, capsys,
+                                                          monkeypatch, command):
+        # three groups, of which only group 1 has positives
+        edges, attrs = self.gen_groups(tmp_path, 3)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("trained a run whose report is undefined")
+
+        monkeypatch.setattr(fairspect.cli, "train", unreachable)
+        grid = ["--seeds", "0", "--missing_rates", "0.1"] if command == "sweep" else []
+        code = main([command, "--edges", str(edges), "--attributes", str(attrs), *grid,
+                     "--out_dir", str(tmp_path / "run")])
+        assert code == 1
+        assert "error: fewer than two groups have positive nodes" in capsys.readouterr().err
+
+    def test_groups_without_positives_warn_once(self, tmp_path):
+        # four groups: 1 and 3 have positives, so the run is scored
+        edges, attrs = self.gen_groups(tmp_path, 4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--edges", str(edges), "--attributes", str(attrs),
+                         "--epochs", "3", "--out_dir", str(tmp_path / "run")]) == 0
+        assert [str(w.message) for w in caught] == [
+            f"group {g} has no positives; excluded from TPR variance" for g in (0, 2)]
 
     def test_gen_rejects_custom_kind(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -11,6 +11,7 @@ from fairspect.fairness import (
     UndefinedMetricError,
     accuracy,
     build_report,
+    check_scorable,
     equal_opportunity,
     multiclass_variance_metrics,
     statistical_parity,
@@ -281,3 +282,36 @@ class TestReportBytes:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def undefined_error(score):
+    """The ``UndefinedMetricError`` message ``score()`` raises, or None, and
+    the number of warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            score()
+        except UndefinedMetricError as exc:
+            return str(exc), len(caught)
+    return None, len(caught)
+
+
+class TestCheckScorable:
+    def test_raises_exactly_where_build_report_does(self):
+        """Every report error depends on the labels and groups alone; the
+        check raises it with the same message, whatever the predictions, and
+        warns of nothing."""
+        rng = np.random.default_rng(0)
+        messages = set()
+        for _ in range(600):
+            n = int(rng.integers(0, 10))
+            s = rng.choice(rng.choice([0, 1, 2, 3, 7], size=int(rng.integers(1, 4))), size=n)
+            y, yhat = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            expected, _ = undefined_error(
+                lambda: build_report(yhat, y, s, "d", 0.0, 0, {}, 0.0))
+            assert undefined_error(lambda: check_scorable(y, s)) == (expected, 0)
+            messages.add(expected)
+        # defined reports and every kind of error were drawn
+        assert messages == {None, "variance metrics need at least two groups",
+                            "fewer than two groups have positive nodes",
+                            "group 0 has no positive nodes", "group 1 has no positive nodes"}

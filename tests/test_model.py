@@ -189,8 +189,9 @@ class TestSpectralFilter:
                 tensor.data = np.zeros_like(tensor.data)
         other = replace(data, coeffs=np.random.default_rng(8).standard_normal(data.coeffs.shape))
         m = data.coeffs.shape[0]
-        for weight in layer_weights(other, params, config):
-            assert np.all(weight.data[-m:] == 0.0)
+        weights, _ = layer_weights(other, params, config)
+        for weight in weights:
+            assert np.all(weight[-m:] == 0.0)
         assert np.array_equal(forward(other, params, config),
                               forward(data, params, config))
 
@@ -229,23 +230,26 @@ def probed_sum(weights, probes):
 
 
 class TestClosedFormStage:
-    """``spectral_stage`` against the stage composed from elementary nodes."""
+    """``spectral_stage`` against the stage composed from elementary nodes.
+
+    The probed sum sum_l <W_l, R_l> has gradient R_l with respect to W_l, so
+    the pullback of the probes is that sum's gradient by parameter."""
 
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("heads", [1, 2])
     def test_matches_composed_stage(self, heads, layers, m):
         data, config, params, probes = stage_fixture(heads, layers, m)
-        weights = layer_weights(data, params, config)
+        weights, pullback = layer_weights(data, params, config)
         reference = composed_layer_weights(data, params, config)
         assert len(weights) == layers
         for weight, ref in zip(weights, reference, strict=True):
-            assert np.array_equal(weight.data, ref.data)
-        ad.zero_grads(params.values())
-        probed_sum(weights, probes).backward()
-        grads = {name: t.grad for name, t in params.items()}
+            assert type(weight) is np.ndarray
+            assert np.array_equal(weight, ref.data)
+        grads = pullback(probes)
         ad.zero_grads(params.values())
         probed_sum(reference, probes).backward()
+        assert grads.keys() == params.keys()
         for name, t in params.items():
             assert grads[name].shape == t.grad.shape, name
             assert np.abs(grads[name] - t.grad).max() <= 1e-12 * np.abs(t.grad).max(), name
@@ -257,13 +261,13 @@ class TestClosedFormStage:
         data, config, params, probes = stage_fixture(heads, layers, m)
 
         def value():
-            return sum(float((w.data * r).sum())
-                       for w, r in zip(layer_weights(data, params, config), probes))
+            weights, _ = layer_weights(data, params, config)
+            return sum(float((w * r).sum()) for w, r in zip(weights, probes))
 
-        ad.zero_grads(params.values())
-        probed_sum(layer_weights(data, params, config), probes).backward()
+        _, pullback = layer_weights(data, params, config)
+        grads = pullback(probes)
         for name, t in params.items():
-            analytic = t.grad.copy()
+            analytic = grads[name]
             numeric = np.zeros_like(t.data)
             for at in np.ndindex(t.data.shape):
                 orig = t.data[at]
@@ -274,18 +278,6 @@ class TestClosedFormStage:
                 t.data[at] = orig
                 numeric[at] = (plus - minus) / 2e-6
             assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-7), name
-
-    @pytest.mark.parametrize("layers", [1, 2])
-    def test_one_node_over_the_parameters(self, layers):
-        # each weight is a row slice of the one stage node, whose parents are
-        # the parameters themselves
-        data, config, params, _ = stage_fixture(2, layers, 3)
-        weights = layer_weights(data, params, config)
-        stages = {id(w._parents[0]) for w in weights}
-        assert len(stages) == 1 and all(len(w._parents) == 1 for w in weights)
-        parents = weights[0]._parents[0]._parents
-        assert {id(t) for t in parents} == {id(t) for t in params.values()}
-        assert len(parents) == len(params)
 
 
 def unfolded_forward(data, params, config):
@@ -329,10 +321,13 @@ class TestFoldedFusion:
 
 def composed_forward(data, params, config):
     """``forward`` built from the elementary ops ``matmul``, ``relu``,
-    ``concat_cols`` and ``add``: the per-row network as a chain of nodes."""
+    ``concat_cols`` and ``add``: the per-row network as a chain of nodes, over
+    the stage composed from elementary nodes."""
     side = Tensor(data.inputs[:, data.width:])
     h = Tensor(data.inputs)
-    for layer, weight in enumerate(layer_weights(data, params, config)):
+    weights = (composed_layer_weights(data, params, config) if config.spectral_fusion
+               else [params[f"fuse_w_{layer}"] for layer in range(config.layers)])
+    for layer, weight in enumerate(weights):
         h = ops.relu((h if layer == 0 else ops.concat_cols(h, side)) @ weight)
     return h @ params["cls_w"] + params["cls_b"]
 
@@ -379,7 +374,7 @@ def check_against_composed(layers, spectral_fusion, case):
 
 
 class TestFusedRowNetwork:
-    """``loss`` is one ``relu_layers_loss`` node, its composition up to the
+    """``loss`` is one node over the parameters, its composition up to the
     rounding of the gradient sums; ``forward`` builds no node."""
 
     @pytest.mark.parametrize("case", ["random", "exact_zeros", "nan_row"])
@@ -403,13 +398,16 @@ class TestFusedRowNetwork:
         assert [len(data.inputs[rows]) for rows in blocks] == sizes
 
     @pytest.mark.parametrize("spectral_fusion", [True, False])
-    def test_parents_are_the_weights_and_the_head(self, spectral_fusion):
+    def test_loss_is_one_node_over_the_parameters(self, spectral_fusion):
+        # the parameters are leaves: the loss is the only node of a step's tape
         data, config = desk_fixture(spectral_fusion=spectral_fusion)
         params = init_params(config, data.width)
-        weights = layer_weights(data, params, config)
-        assert model.loss(data, params, config, weights)._parents == (
-            *weights, params["cls_w"], params["cls_b"])
-        assert type(forward(data, params, config, weights)) is np.ndarray
+        stage = layer_weights(data, params, config)
+        assert all(type(w) is np.ndarray for w in stage[0])
+        step_loss = model.loss(data, params, config, stage)
+        assert step_loss._parents == tuple(params.values())
+        assert all(not t._parents for t in step_loss._parents)
+        assert type(forward(data, params, config, stage)) is np.ndarray
 
     def test_empty_batch_rejected(self):
         data, config = desk_fixture()
