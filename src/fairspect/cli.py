@@ -18,6 +18,7 @@ import os
 import sys
 import time
 import typing
+import warnings
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
@@ -310,8 +311,14 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
 
 
 def _sweep_cell(inputs: tuple, trunc, cpus: int, config: TrainConfig):
-    """One grid cell's report; its parameters stay in the process that trained them."""
-    report, _params = _run_single_training(*inputs, config, trunc, cpus)
+    """One grid cell's report; its parameters stay in the process that trained them.
+
+    Entering ``catch_warnings`` resets Python's once-per-location warning
+    registry, so every cell prints its own warnings, such as a group without
+    positives, even after an earlier cell in this process printed the same.
+    """
+    with warnings.catch_warnings():
+        report, _params = _run_single_training(*inputs, config, trunc, cpus)
     return report
 
 

@@ -90,7 +90,11 @@ def _int_rows(body: str, width: int) -> np.ndarray:
     """
     if not body or body.isspace():
         return np.empty((0, width), dtype=np.int64)
-    rows = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    # numpy decodes and parses the UTF-8 bytes line by line, as it would a
+    # StringIO, without the StringIO's copy at 4 bytes per character. A lone
+    # surrogate fails to encode with a ValueError, like any parse error.
+    rows = np.loadtxt(io.BytesIO(body.encode("utf-8")), dtype=np.int64, comments=None,
+                      ndmin=2, encoding="utf-8")
     if rows.shape[1] != width:
         raise ValueError(f"expected {width} integers per line, got {rows.shape[1]}")
     return rows
@@ -131,7 +135,8 @@ class Graph:
 
     ``row_offsets`` has length n+1; ``col_indices[row_offsets[i]:row_offsets[i+1]]``
     are the neighbours of node i, sorted ascending. Each undirected edge is
-    stored twice, so ``row_offsets[n] == 2 * edge_count``.
+    stored twice, so ``row_offsets[n] == 2 * edge_count``. ``from_edges``
+    stores both arrays in ``index_dtype(n, 2 * edge_count)``.
     """
 
     n: int
@@ -155,7 +160,11 @@ class Graph:
         return np.diff(self.row_offsets)
 
     def to_scipy(self):
-        """CSR matrix with unit weights (float64)."""
+        """CSR matrix with unit weights (float64).
+
+        Index arrays in scipy's own index dtype, as ``from_edges`` makes them,
+        are shared with the matrix, not copied.
+        """
         from scipy.sparse import csr_matrix
 
         data = np.ones(len(self.col_indices), dtype=np.float64)
@@ -169,6 +178,12 @@ class Graph:
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         upper = rows < self.col_indices
         return np.column_stack([rows[upper], self.col_indices[upper]])
+
+
+def index_dtype(n: int, stored: int) -> type:
+    """int32 when node ids up to ``n`` and offsets up to ``stored`` all fit in
+    it, else int64: the rule scipy applies to CSR indices."""
+    return np.int32 if max(n, stored) <= np.iinfo(np.int32).max else np.int64
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -197,10 +212,14 @@ def from_edges(n: int, edges) -> Graph:
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     keys = keys[first]
-    rows, cols = np.divmod(keys, n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    return Graph(n=n, row_offsets=offsets, col_indices=cols, edge_count=len(keys) // 2)
+    index = index_dtype(n, len(keys))
+    offsets = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
+    # the keys become column ids in place, so no int64 row and column arrays
+    # are alive beside them
+    np.remainder(keys, n, out=keys)
+    return Graph(n=n, row_offsets=offsets, col_indices=keys.astype(index),
+                 edge_count=len(keys) // 2)
 
 
 def load_edge_list(text: str) -> Graph:
@@ -393,8 +412,9 @@ def load_attributes(csv_text: str, expected_n: int | None = None):
     try:
         if any(ch in body for ch in _CELL_SEPARATOR_CHARS):
             raise ValueError("control characters U+001C..U+001F in a data row")
-        table = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",",
-                           quotechar='"', comments=None, ndmin=1)
+        # bytes, not a StringIO, for the reason given in _int_rows
+        table = np.loadtxt(io.BytesIO(body.encode("utf-8")), dtype=dtype, delimiter=",",
+                           quotechar='"', comments=None, ndmin=1, encoding="utf-8")
         table = table[np.argsort(table[f"c{id_col}"], kind="stable")]
         ids = table[f"c{id_col}"]
         raw_labels = table[f"c{label_col}"]

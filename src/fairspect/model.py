@@ -219,12 +219,16 @@ def prepare_inputs(
     ground-truth values stay available for evaluation.
     """
     config.validate()
+    if sensitive.n != attrs.n:
+        raise ValueError("attribute matrix and sensitive column disagree on n")
+    if config.spectral_fusion and trunc is None:
+        # solved before the n x d padded copy exists, so the copy is not
+        # resident at the eigensolve's peak
+        trunc = structural_truncation(graph, config)
     padded = zero_pad(attrs, sensitive)
     if not config.sensitive_in_features:
         padded = np.delete(padded, attrs.sensitive_index, axis=1)
     if config.spectral_fusion:
-        if trunc is None:
-            trunc = structural_truncation(graph, config)
         side = trunc.eigenvectors
         tokens = eigenvalue_position_encoding(trunc.eigenvalues, config.d_m)
         coeffs = side.T @ padded

@@ -847,6 +847,19 @@ class TestConfigAndExitCodes:
         assert [str(w.message) for w in caught] == [
             f"group {g} has no positives; excluded from TPR variance" for g in (0, 2)]
 
+    def test_serial_sweep_warns_once_per_cell(self, tmp_path, monkeypatch):
+        # one process runs all four cells; Python's default action prints a
+        # warning once per location, which must not hide a later cell's lines
+        monkeypatch.setattr(fairspect.cli, "cpu_budget", lambda: 1)
+        edges, attrs = self.gen_groups(tmp_path, 4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
+                         "--missing_rates", "0.1,0.2", "--seeds", "0,1", "--epochs", "3",
+                         "--out_dir", str(tmp_path / "run")]) == 0
+        assert [str(w.message) for w in caught] == 4 * [
+            f"group {g} has no positives; excluded from TPR variance" for g in (0, 2)]
+
     def test_gen_rejects_custom_kind(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "--kind", "custom", "--n", "4",

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fairspect.graph import (
     Split,
     apply_missing_mask,
     from_edges,
+    index_dtype,
     is_bipartite,
     is_connected,
     load_attributes,
@@ -117,7 +119,7 @@ class TestLoadEdgeList:
         assert loaded.edge_count == built.edge_count
         for a, b in ((loaded.row_offsets, built.row_offsets),
                      (loaded.col_indices, built.col_indices)):
-            assert a.dtype == b.dtype == np.int64
+            assert a.dtype == b.dtype == np.int32
             assert a.tobytes() == b.tobytes()
         expected = sorted({(min(u, v), max(u, v)) for u, v in pairs.tolist() if u != v})
         assert loaded.undirected_edges().tolist() == [list(p) for p in expected]
@@ -318,6 +320,54 @@ class TestHelpers:
             from_edges(3, np.zeros((2, 3), dtype=np.int64))
         with pytest.raises(ValueError):
             from_edges(MAX_NODES + 1, [])
+
+
+class TestLeanLayout:
+    @pytest.mark.parametrize("n, stored, expected", [
+        (2**31 - 1, 2**31 - 1, np.int32),
+        (2**31, 0, np.int64),
+        (3, 2**31, np.int64),
+        (MAX_NODES, 2**40, np.int64),
+    ])
+    def test_index_dtype_boundary(self, n, stored, expected):
+        assert index_dtype(n, stored) is expected
+
+    def test_to_scipy_shares_the_index_arrays(self, two_triangles):
+        matrix = two_triangles.to_scipy()
+        for ours, theirs in ((two_triangles.row_offsets, matrix.indptr),
+                             (two_triangles.col_indices, matrix.indices)):
+            assert ours.dtype == theirs.dtype == np.int32
+            assert np.shares_memory(ours, theirs)
+
+    @pytest.mark.parametrize("loader", ["edges", "attributes", "mask"])
+    def test_ingest_holds_no_four_byte_copy_of_the_text(self, loader):
+        # fields padded to 24 columns: the arrays parsed from the values are
+        # small next to the text, so a copy at 4 bytes per character shows
+        rng = np.random.default_rng(0)
+        n = 4000
+        if loader == "edges":
+            pairs = rng.integers(0, n, size=(20000, 2))
+            text = "".join(f"{u:>24} {v:>24}\n" for u, v in pairs.tolist())
+            load = load_edge_list
+        elif loader == "attributes":
+            feats = rng.standard_normal((n, 2)).tolist()
+            text = "id,f0,f1,sensitive,label\n" + "".join(
+                f"{i:>24},{a!r},{b!r},{i % 2},{i % 3 % 2}\n" for i, (a, b) in enumerate(feats))
+            load = load_attributes
+        else:
+            ids = rng.permutation(n)[:n // 3]
+            text = "".join(f"{i:>24}\n" for i in ids.tolist())
+            column = SensitiveColumn(values=np.zeros(n, dtype=np.int64),
+                                     present=np.ones(n, dtype=bool))
+            load = lambda text: parse_mask_file(text, column)  # noqa: E731
+        load(text)
+        tracemalloc.start()
+        try:
+            load(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text)
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ class TestBatteries:
         for graph_id, graph, sens, _ in build_alignment_battery(30, seed=0):
             arrays += [np.array(graph_id), graph.row_offsets, graph.col_indices,
                        sens.values, sens.present]
-        expected = "44cda7775f78d935ae83ee96a3c37414a6283e5f1840ef93fcf543dc89e620f2"
+        expected = "94973d28dd99aa783de4e919a503e6161f12fb075e8165eea41916a4da5961ca"
         assert array_digest(*arrays) == expected
 
     def test_multiplicity_battery_shapes(self):

@@ -8,7 +8,7 @@ import pytest
 from fairspect import autodiff as ad
 from fairspect import model
 from fairspect.encoding import eigenvalue_position_encoding, propagate_k_hop, zero_pad
-from fairspect.graph import Split, apply_missing_mask, make_split
+from fairspect.graph import SensitiveColumn, Split, apply_missing_mask, make_split
 from fairspect.model import (
     Adam,
     PreparedData,
@@ -79,6 +79,39 @@ class TestPreparedData:
             assert np.array_equal(data.inputs[:, data.width:],
                                   propagate_k_hop(graph, padded, config.k_hops))
             assert data.tokens is None and data.coeffs is None
+
+    def test_eigensolve_runs_before_the_padded_copy(self, monkeypatch):
+        # the n x d padded copy must not be resident at the solve's peak
+        spec = SyntheticSpec(kind="erdos_renyi", n=10, params={"p": 0.5}, seed=2)
+        graph, attrs, sens, labels = gen_synthetic(spec)
+        calls = []
+
+        def recorded(name):
+            real = getattr(model, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("structural_truncation", "zero_pad"):
+            monkeypatch.setattr(model, name, recorded(name))
+        prepare_inputs(graph, attrs, sens, labels, make_split(10, None, 0),
+                       TrainConfig(m=3, d_m=4, heads=1))
+        assert calls == ["structural_truncation", "zero_pad"]
+
+    def test_row_mismatch_fails_before_the_eigensolve(self, monkeypatch):
+        spec = SyntheticSpec(kind="erdos_renyi", n=10, params={"p": 0.5}, seed=2)
+        graph, attrs, sens, labels = gen_synthetic(spec)
+        short = SensitiveColumn(values=sens.values[:9], present=sens.present[:9])
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the row check")
+
+        monkeypatch.setattr(model, "structural_truncation", no_solve)
+        with pytest.raises(ValueError, match="disagree on n"):
+            prepare_inputs(graph, attrs, short, labels, make_split(10, None, 0),
+                           TrainConfig(m=3, d_m=4, heads=1))
 
     @pytest.mark.parametrize("field", [f.name for f in fields(PreparedData)])
     def test_fields_cannot_be_reassigned(self, field):

@@ -141,11 +141,11 @@ class TestSamplerPinned:
     }
     # sha256 of (row_offsets, col_indices, features, sensitive, labels)
     DIGESTS = {
-        "erdos_renyi": "a0553c1d7858cf4777e853a168b6845493779919953022f68b3f856164c409bd",
-        "sbm2": "f02798a4929048f3d56296f58e7fa22894c73a34a21233abf7fd5d9ff3357cd7",
-        "sbm3": "33a2627e1d7eff0f374041a6b2184954581e392809dd1cde5008953f9bf2a14a",
-        "cliques": "539b27b7ddf30579a2f3c6e2c0d5514e38dff48f3b204675f12c8985bab4552e",
-        "custom": "ce24a3f8ee404366617c5c426154068f6b5933f1b27c52e75d1ca58fad89e3f7",
+        "erdos_renyi": "716d576ac80cf9d6fc7092f7a7c8a7f912103d66cb83de5be947caa54de8477f",
+        "sbm2": "2e1379e8a8e898ffbd2a15491c0f9c02abf6d1d08eaa70d2e39bb3111af8274f",
+        "sbm3": "82cf3a5db552173857365c57072997784bab742b006ca40eea520dd240d0323d",
+        "cliques": "3d078b43839ff7e4fdbdc2b9ac90a15a7ab316baa4fa93d70ddd531be5469347",
+        "custom": "29cbd974f857324e80a4dea41570a64e7fbb138abc09f729e37ca8f956963cdf",
     }
 
     @pytest.mark.parametrize("name", sorted(SPECS))
