@@ -91,6 +91,7 @@ def _field_types() -> dict[str, tuple[type, bool]]:
 
 
 _TRAIN_FIELD_TYPES = _field_types()
+_SWITCHES = {name for name, (kind, _) in _TRAIN_FIELD_TYPES.items() if kind is bool}
 _EXPECTED = {int: "an integer", float: "a number", bool: "true, false, 0 or 1"}
 # config keys that are not TrainConfig fields -> type; each also takes null, and
 # the two grids take a list or the comma-separated string their flags take
@@ -111,7 +112,7 @@ def _coerced(kind: type, value):
     """
     if kind is bool:
         if isinstance(value, int) and value in (0, 1):
-            return value
+            return bool(value)
     elif isinstance(value, bool):
         pass
     elif kind is float and isinstance(value, (int, float)):
@@ -158,12 +159,13 @@ def _grid(kind: type, text: str) -> list:
     return items
 
 
-def _grid_flag(kind: type, items: str):
+def _grid_flag(kind: type):
     """argparse ``type`` of a comma-separated flag: a bad value is an error naming the flag."""
     def parse(text: str) -> list:
         try:
             return _grid(kind, text)
         except ValueError:
+            items = "integers" if kind is int else "numbers"
             raise argparse.ArgumentTypeError(f"expected comma-separated {items}, got {text!r}")
     return parse
 
@@ -220,7 +222,13 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _add_train_flags(parser: argparse.ArgumentParser):
+def _add_config_flags(parser: argparse.ArgumentParser, grids: bool):
+    """One flag per config key: the run keys (the two grids only if ``grids``),
+    then ``--config``, then the TrainConfig fields."""
+    for name, kind in _RUN_KEY_TYPES.items():
+        if kind is str or grids:
+            parser.add_argument(f"--{name}", type=kind if kind is str else _grid_flag(kind),
+                                default=None)
     parser.add_argument("--config", type=str, default=None,
                         help="flat JSON config file; flags override it")
     for name, (kind, _) in _TRAIN_FIELD_TYPES.items():
@@ -240,23 +248,17 @@ def _merged_config(args) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged = {name: _config_value(name, value) for name, value in loaded.items()}
-    for name in _TRAIN_FIELD_TYPES:
+    for name in [*_TRAIN_FIELD_TYPES, *_RUN_KEY_TYPES]:
         value = getattr(args, name, None)
         if value is not None:
-            merged[name] = value
-    for name in _RUN_KEY_TYPES:
-        value = getattr(args, name, None)
-        if value is not None:
-            merged[name] = value
+            # a switch flag parses as the int 0 or 1; it is held as a bool, like a file's
+            merged[name] = bool(value) if name in _SWITCHES else value
     return merged
 
 
 def _train_config_from(merged: dict, **overrides) -> TrainConfig:
     kwargs = {k: v for k, v in merged.items() if k in _TRAIN_FIELD_TYPES}
     kwargs.update(overrides)
-    for key in ("sensitive_in_features", "spectral_fusion"):
-        if key in kwargs:
-            kwargs[key] = bool(kwargs[key])
     config = TrainConfig(**kwargs)
     config.validate()
     return config
@@ -420,17 +422,8 @@ def _cell_reports(run_cell, configs: list, workers: int):
 
 
 def cmd_gen(args) -> int:
-    params: dict = {}
-    if args.p is not None:
-        params["p"] = args.p
-    if args.block_sizes:
-        params["block_sizes"] = args.block_sizes
-    if args.p_in is not None:
-        params["p_in"] = args.p_in
-    if args.p_out is not None:
-        params["p_out"] = args.p_out
-    if args.sizes:
-        params["sizes"] = args.sizes
+    params = {name: getattr(args, name) for name in ("p", "block_sizes", "p_in", "p_out", "sizes")
+              if getattr(args, name) is not None}
     spec = SyntheticSpec(
         kind=args.kind, n=args.n, params=params,
         sensitive_correlation=args.sensitive_correlation,
@@ -484,20 +477,22 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep masks by rate; a fixed mask file conflicts with the grid")
     rates = merged.get("missing_rates") or [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
     seeds = merged.get("seeds") or [0]
-    for rate in rates:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"missing rate {rate} outside [0, 1)")
+    grid = [(rate, seed) for rate in rates for seed in seeds]
+    configs = [_train_config_from(merged, missing_rate=rate, seed=seed) for rate, seed in grid]
     # a report is named by the rate as printed under :g and the seed
     _reject_repeated_cells(args, "missing_rates", rates, lambda rate: f"{rate:g}")
     _reject_repeated_cells(args, "seeds", seeds, str)
     graph, attrs, sensitive, labels, dataset = _load_dataset(merged)
+    # a split depends only on the seed and train_size, so every cell's test
+    # rows are checked here, before the solve
+    for seed in seeds:
+        test = make_split(graph.n, configs[0].train_size, seed).test
+        check_scorable(labels[test], sensitive.values[test])
     out_dir = Path(merged.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    grid = [(rate, seed) for rate in rates for seed in seeds]
-    configs = [_train_config_from(merged, missing_rate=rate, seed=seed) for rate, seed in grid]
     # every cell shares the graph, m and the fusion switch, so one solve serves the grid
-    trunc = structural_truncation(graph, configs[0]) if configs else None
+    trunc = structural_truncation(graph, configs[0])
     workers = sweep_worker_count(len(configs))
     run_cell = functools.partial(
         _sweep_cell, (graph, attrs, sensitive, labels, dataset, merged), trunc,
@@ -516,15 +511,11 @@ def cmd_sweep(args) -> int:
     writer.writerow(["missing_rate", "runs", "acc_mean", "acc_std",
                      "d_sp_mean", "d_sp_std", "d_eo_mean", "d_eo_std"])
     for rate in rates:
-        accs = np.array([r.accuracy for r in by_rate[rate]])
-        dsps = np.array([r.delta_sp for r in by_rate[rate]])
-        deos = np.array([r.delta_eo for r in by_rate[rate]])
-        writer.writerow([
-            f"{rate:g}", len(accs),
-            f"{accs.mean():.6f}", f"{accs.std():.6f}",
-            f"{dsps.mean():.6f}", f"{dsps.std():.6f}",
-            f"{deos.mean():.6f}", f"{deos.std():.6f}",
-        ])
+        row = [f"{rate:g}", len(by_rate[rate])]
+        for field in ("accuracy", "delta_sp", "delta_eo"):
+            values = np.array([getattr(report, field) for report in by_rate[rate]])
+            row += [f"{values.mean():.6f}", f"{values.std():.6f}"]
+        writer.writerow(row)
     _atomic_write_text(out_dir / "aggregate.csv", buffer.getvalue())
     print(f"wrote {out_dir / 'aggregate.csv'} ({len(rates)} rates x {len(seeds)} seeds)")
     return EXIT_OK
@@ -560,6 +551,14 @@ def _verify_battery(args):
     return build_alignment_battery(args.suite_size, seed=args.seed)
 
 
+def _tally(verdicts: list, counted: str, uncounted: str, **extra) -> dict:
+    """Counts of ``verdicts``: True passed, False failed, None neither (named
+    ``uncounted``); then ``extra``, and whether none failed."""
+    failed = verdicts.count(False)
+    return {counted: len(verdicts) - verdicts.count(None), "passed": verdicts.count(True),
+            "failed": failed, uncounted: verdicts.count(None), **extra, "pass": failed == 0}
+
+
 def cmd_verify(args) -> int:
     battery = _verify_battery(args)
     out_dir = Path(args.out_dir or ".")
@@ -580,64 +579,44 @@ def cmd_verify(args) -> int:
     rows = []
     summary: dict = {}
     for variant in args.variants:
-        stats = {"graphs": 0, "passed": 0, "failed": 0, "skipped": 0,
-                 "max_residual": 0.0}
-        if variant == "thm3":
-            stats["max_gap"] = 0.0
+        # a graph outside the premises, or whose series oscillates, is skipped
+        verdicts, residuals, gaps = [], [0.0], [0.0]
         for index, (graph_id, graph, _, _) in enumerate(battery):
             series = table[variant, index]
-            if series is None:
-                stats["skipped"] += 1
+            if series is not None:
+                rows.extend([variant, graph_id, graph.n, int(k), f"{cos_k:.12e}",
+                             f"{series.limit:.12e}", f"{residual:.12e}"]
+                            for k, cos_k, residual in zip(series.hops, series.cosines,
+                                                          series.residuals))
+            if series is None or series.oscillating:
+                verdicts.append(None)
                 continue
-            for k, cos_k, residual in zip(series.hops, series.cosines, series.residuals):
-                rows.append([variant, graph_id, graph.n, int(k),
-                             f"{cos_k:.12e}", f"{series.limit:.12e}", f"{residual:.12e}"])
-            if series.oscillating:
-                stats["skipped"] += 1
-                continue
-            stats["graphs"] += 1
-            if variant == "thm3":
-                gap = float(series.companion_gap[-1])
-                stats["max_gap"] = max(stats["max_gap"], gap)
-                ok = gap <= args.tol
-            else:
-                ok = float(series.residuals[-1]) <= args.tol
-            stats["max_residual"] = max(stats["max_residual"],
-                                        float(series.residuals[-1]))
-            stats["passed" if ok else "failed"] += 1
-        # graphs outside the premises are skipped, not failed
-        stats["pass"] = stats["failed"] == 0
-        summary[variant] = stats
+            residuals.append(float(series.residuals[-1]))
+            measured = residuals[-1]
+            if variant == "thm3":  # judged by its companion gap
+                gaps.append(float(series.companion_gap[-1]))
+                measured = gaps[-1]
+            verdicts.append(measured <= args.tol)
+        extra = {"max_gap": max(gaps)} if variant == "thm3" else {}
+        summary[variant] = _tally(verdicts, "graphs", "skipped",
+                                  max_residual=max(residuals), **extra)
 
-    decay = {"checked": 0, "passed": 0, "failed": 0, "skipped": 0}
+    decay = []
     for index, (_, _, _, oracle) in enumerate(battery):
-        series = table["thm1", index]
-        if series is None:
-            decay["skipped"] += 1
-            continue
-        try:
-            empirical, predicted = estimate_decay_rate(series, oracle)
-        except NotEstimableError:
-            decay["skipped"] += 1
-            continue
-        decay["checked"] += 1
-        ok = abs(empirical - abs(predicted)) <= args.decay_tolerance * abs(predicted)
-        decay["passed" if ok else "failed"] += 1
-    decay["pass"] = decay["failed"] == 0
-    summary["decay"] = decay
+        series, verdict = table["thm1", index], None
+        if series is not None:
+            with contextlib.suppress(NotEstimableError):
+                empirical, predicted = estimate_decay_rate(series, oracle)
+                verdict = abs(empirical - abs(predicted)) <= args.decay_tolerance * abs(predicted)
+        decay.append(verdict)
+    summary["decay"] = _tally(decay, "checked", "skipped")
 
     if args.multiplicity_count > 0:
-        mult = {"checked": 0, "passed": 0, "failed": 0, "degenerate": 0}
-        for graph_id, graph, sensitive in build_multiplicity_battery(
-                args.multiplicity_count, seed=args.seed):
-            bound = multiplicity_bound_check(graph, sensitive)
-            if bound.degenerate:
-                mult["degenerate"] += 1
-                continue
-            mult["checked"] += 1
-            mult["passed" if bound.holds else "failed"] += 1
-        mult["pass"] = mult["failed"] == 0
-        summary["multiplicity"] = mult
+        # a degenerate graph's bound holds neither way: None
+        holds = [multiplicity_bound_check(graph, sensitive).holds
+                 for _, graph, sensitive in build_multiplicity_battery(
+                     args.multiplicity_count, seed=args.seed)]
+        summary["multiplicity"] = _tally(holds, "checked", "degenerate")
 
     ok = all(entry["pass"] for entry in summary.values())
     summary["ok"] = ok
@@ -668,10 +647,10 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("erdos_renyi", "sbm", "disjoint_cliques"))
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--p", type=float, default=None)
-    gen.add_argument("--block_sizes", type=_grid_flag(int, "integers"), default=None)
+    gen.add_argument("--block_sizes", type=_grid_flag(int), default=None)
     gen.add_argument("--p_in", type=float, default=None)
     gen.add_argument("--p_out", type=float, default=None)
-    gen.add_argument("--sizes", type=_grid_flag(int, "integers"), default=None)
+    gen.add_argument("--sizes", type=_grid_flag(int), default=None)
     gen.add_argument("--sensitive_correlation", type=float, default=1.0)
     gen.add_argument("--label_flip", type=float, default=0.0)
     gen.add_argument("--noise_scale", type=float, default=0.1)
@@ -689,23 +668,11 @@ def build_parser() -> argparse.ArgumentParser:
     mask.set_defaults(func=cmd_mask)
 
     tr = sub.add_parser("train", help="train once, write report + checkpoint")
-    tr.add_argument("--edges", type=str, default=None)
-    tr.add_argument("--attributes", type=str, default=None)
-    tr.add_argument("--mask", type=str, default=None)
-    tr.add_argument("--dataset", type=str, default=None)
-    tr.add_argument("--out_dir", type=str, default=None)
-    _add_train_flags(tr)
+    _add_config_flags(tr, grids=False)
     tr.set_defaults(func=cmd_train)
 
     sw = sub.add_parser("sweep", help="rate x seed grid of runs + aggregate CSV")
-    sw.add_argument("--edges", type=str, default=None)
-    sw.add_argument("--attributes", type=str, default=None)
-    sw.add_argument("--mask", type=str, default=None)
-    sw.add_argument("--dataset", type=str, default=None)
-    sw.add_argument("--out_dir", type=str, default=None)
-    sw.add_argument("--missing_rates", type=_grid_flag(float, "numbers"), default=None)
-    sw.add_argument("--seeds", type=_grid_flag(int, "integers"), default=None)
-    _add_train_flags(sw)
+    _add_config_flags(sw, grids=True)
     sw.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run the alignment-limit checks")

@@ -98,10 +98,11 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr < 0:
-            raise ValueError("learning rate must be nonnegative")
-        if self.weight_decay < 0:
-            raise ValueError("weight decay must be nonnegative")
+        # a NaN fails every comparison, so each bound is stated as what passes
+        if not 0 <= self.lr < float("inf"):
+            raise ValueError("learning rate must be finite and nonnegative")
+        if not 0 <= self.weight_decay < float("inf"):
+            raise ValueError("weight decay must be finite and nonnegative")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.k_hops < 0:
@@ -130,8 +131,7 @@ def _zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def init_params(config: TrainConfig, feature_width: int,
-                seed: int | None = None) -> dict[str, Tensor]:
+def init_params(config: TrainConfig, feature_width: int) -> dict[str, Tensor]:
     """Seeded parameter initialisation for the given feature width.
 
     The parameters are one name -> tensor map; the names are the checkpoint's
@@ -139,7 +139,7 @@ def init_params(config: TrainConfig, feature_width: int,
     tensors carry their index as a suffix.
     """
     config.validate()
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     p: dict[str, Tensor] = {}
     d_m = config.d_m
     if config.spectral_fusion:
@@ -407,12 +407,12 @@ class Adam:
     later rebound to another array is no longer updated.
     """
 
-    def __init__(self, tensors: dict[str, Tensor], lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, tensors: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.tensors = tensors
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.values = np.concatenate([t.data.ravel() for t in tensors.values()])
         self.grad = np.empty_like(self.values)

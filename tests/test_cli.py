@@ -1,4 +1,6 @@
+import argparse
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -530,6 +532,24 @@ class TestVerify:
         summary = json.loads((out / "verify_summary.json").read_text())
         assert not summary["ok"]
 
+    def test_outputs_match_recorded_digests(self, tmp_path, monkeypatch, capsys):
+        # recorded with numpy's OpenBLAS wheels on x86-64; at k_max 30 one
+        # graph of six fails lemma1, thm1 and thm2, so every count is nonzero
+        monkeypatch.chdir(tmp_path)
+        code = main(["verify", "--suite_size", "6", "--k_max", "30",
+                     "--multiplicity_count", "2", "--seed", "0", "--out_dir", "out"])
+        assert code == 3
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in ("verify_summary.json", "verify_series.csv")}
+        digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == {
+            "verify_summary.json":
+                "d25a57ee7665f98aa8a96c889f49b9a5d4059b0251c6c8358b0a7dae9f52a46e",
+            "verify_series.csv":
+                "a696b2e5dccc1ac285d81bd2e27c3a627a01c7965a471ccbe26e13550f4e461a",
+            "stdout": "7019431ecf6d41c4936a8ef288580233a58ee9652e800950c984ec4772c8a7de",
+        }
+
     def test_synthetic_battery_smoke(self, tmp_path):
         out = tmp_path / "verify"
         code = main(["verify", "--suite_size", "3", "--k_max", "40",
@@ -667,6 +687,29 @@ class TestVerify:
         assert code == 1
         assert "--mask only with --attributes" in capsys.readouterr().err
         assert not out.exists()
+
+
+TRAIN_FIELD_OPTIONS = [
+    "--config", "--m", "--k_hops", "--layers", "--hidden", "--heads", "--d_m", "--lr",
+    "--weight_decay", "--epochs", "--seed", "--missing_rate", "--sensitive_in_features",
+    "--spectral_fusion", "--train_size",
+]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("train", ["-h", "--help", "--edges", "--attributes", "--mask", "--dataset", "--out_dir",
+               *TRAIN_FIELD_OPTIONS]),
+    ("sweep", ["-h", "--help", "--edges", "--attributes", "--mask", "--dataset", "--out_dir",
+               "--missing_rates", "--seeds", *TRAIN_FIELD_OPTIONS]),
+])
+def test_run_command_options_and_their_order(command, options):
+    parser = fairspect.cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = commands.choices[command]._actions
+    assert [flag for action in actions for flag in action.option_strings] == options
+    switches = [a.dest for a in actions if a.choices is not None]
+    assert switches == ["sensitive_in_features", "spectral_fusion"]
+    assert all(a.choices == (0, 1) and a.type is int for a in actions if a.choices)
 
 
 class TestConfigAndExitCodes:
@@ -831,11 +874,58 @@ class TestConfigAndExitCodes:
             raise AssertionError("trained a run whose report is undefined")
 
         monkeypatch.setattr(fairspect.cli, "train", unreachable)
-        grid = ["--seeds", "0", "--missing_rates", "0.1"] if command == "sweep" else []
+        solves = []
+        solve = fairspect.model.top_m_eigenpairs
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fairspect.model, "top_m_eigenpairs", counted)
+        grid = ["--seeds", "0,1", "--missing_rates", "0.1"] if command == "sweep" else []
         code = main([command, "--edges", str(edges), "--attributes", str(attrs), *grid,
                      "--out_dir", str(tmp_path / "run")])
         assert code == 1
         assert "error: fewer than two groups have positive nodes" in capsys.readouterr().err
+        assert solves == []  # rejected before the eigensolve
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--lr", "nan"], "learning rate must be finite and nonnegative"),
+        (["--lr", "inf"], "learning rate must be finite and nonnegative"),
+        (["--lr", "-1"], "learning rate must be finite and nonnegative"),
+        (["--weight_decay", "nan"], "weight decay must be finite and nonnegative"),
+        (["--weight_decay", "inf"], "weight decay must be finite and nonnegative"),
+        (["--epochs", "0"], "epochs must be >= 1"),
+    ])
+    def test_bad_config_flag_is_rejected_before_any_file_is_read(self, tmp_path, capsys,
+                                                                  command, flags, complaint):
+        # the input files do not exist, so reading them would be the error
+        code = main([command, "--edges", str(tmp_path / "none.edges"),
+                     "--attributes", str(tmp_path / "none.csv"), *flags,
+                     "--out_dir", str(tmp_path / "run")])
+        assert code == 1
+        assert f"error: {complaint}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, key, value, complaint", [
+        *((command, key, value, f"{name} must be finite and nonnegative")
+          for command in ("train", "sweep")
+          for key, name in (("lr", "learning rate"), ("weight_decay", "weight decay"))
+          for value in (float("nan"), float("inf"))),
+        ("sweep", "missing_rates", [0.1, 1.5], "missing_rate must be in [0, 1)"),
+        ("sweep", "missing_rates", [float("nan")], "missing_rate must be in [0, 1)"),
+    ])
+    def test_bad_config_file_value_is_rejected_before_any_file_is_read(
+            self, tmp_path, capsys, command, key, value, complaint):
+        config = tmp_path / "config.json"
+        # Python's json writes and reads NaN and Infinity
+        config.write_text(json.dumps({"edges": str(tmp_path / "none.edges"),
+                                      "attributes": str(tmp_path / "none.csv"),
+                                      "out_dir": str(tmp_path / "run"), key: value}))
+        assert main([command, "--config", str(config)]) == 1
+        assert f"error: {complaint}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_groups_without_positives_warn_once(self, tmp_path):
         # four groups: 1 and 3 have positives, so the run is scored
