@@ -26,10 +26,8 @@ import numpy as np
 
 from .autodiff import HelperDiedError
 from .encoding import DegenerateVectorError
-from .fairness import UndefinedMetricError, build_report, check_scorable
+from .fairness import build_report, check_scorable
 from .graph import (
-    AttributeTableError,
-    EdgeListFormatError,
     SensitiveColumn,
     apply_missing_mask,
     load_attributes,
@@ -99,8 +97,8 @@ _RUN_KEY_TYPES = {"edges": str, "attributes": str, "mask": str, "dataset": str,
                   "out_dir": str, "missing_rates": float, "seeds": int}
 _EXPECTED_RUN = {
     str: "a string or null",
-    float: "a list of numbers, a comma-separated string or null",
-    int: "a list of integers, a comma-separated string or null",
+    float: "a non-empty list of numbers, a comma-separated string or null",
+    int: "a non-empty list of integers, a comma-separated string or null",
 }
 
 
@@ -138,7 +136,7 @@ def _config_value(name: str, value):
             return _coerced(kind, value)
         if isinstance(value, str):
             return value if kind is str else _grid(kind, value)
-        if kind is not str and isinstance(value, list):
+        if kind is not str and isinstance(value, list) and value:
             return [_coerced(kind, item) for item in value]
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
         pass
@@ -288,12 +286,9 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
             Path(merged["mask"]).read_text(encoding="utf-8"), sensitive)
         # no nominal rate when masking comes from a file; report the realised one
         report_rate = float((~run_sensitive.present).mean())
-    elif config.missing_rate > 0.0:
+    else:
         run_sensitive = apply_missing_mask(sensitive, config.missing_rate, config.seed)
         report_rate = config.missing_rate
-    else:
-        run_sensitive = sensitive
-        report_rate = 0.0
     split = make_split(graph.n, config.train_size, config.seed)
     # an unscorable test split fails here, not after training
     check_scorable(labels[split.test], sensitive.values[split.test])
@@ -700,9 +695,8 @@ def main(argv=None) -> int:
     except (ConvergenceError, TrainingDivergedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (EdgeListFormatError, AttributeTableError, UndefinedMetricError,
-            DegenerateVectorError, ValueError, OSError, json.JSONDecodeError,
-            WorkerDiedError, HelperDiedError) as exc:
+    # the input parsers' errors and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError, WorkerDiedError, HelperDiedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

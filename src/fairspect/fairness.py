@@ -72,14 +72,14 @@ def _gap_0_1(rates: dict, undefined: str) -> float:
     return abs(rates[0] - rates[1])
 
 
-def _variances(rates: dict, tprs: dict, warn: bool = True) -> tuple[float, float]:
+def _variances(rates: dict, tprs: dict, stacklevel: int | None = 3) -> tuple[float, float]:
+    # a group without positives warns the public function's caller; None is silent
     if len(rates) < 2:
         raise UndefinedMetricError("variance metrics need at least two groups")
     for group in rates:
-        if warn and group not in tprs:
-            # stacklevel 3: the caller of the public function
+        if stacklevel is not None and group not in tprs:
             warnings.warn(f"group {group} has no positives; excluded from TPR variance",
-                          stacklevel=3)
+                          stacklevel=stacklevel)
     if len(tprs) < 2:
         raise UndefinedMetricError("fewer than two groups have positive nodes")
     return _population_variance(list(rates.values())), _population_variance(list(tprs.values()))
@@ -106,6 +106,14 @@ def multiclass_variance_metrics(yhat, y, s_true, eval_idx) -> tuple[float, float
     warning. Fewer than two usable groups on either side is an error.
     """
     return _variances(*_group_rates(*_restrict((yhat, y, s_true), eval_idx)))
+
+
+def _gaps(rates: dict, tprs: dict, stacklevel: int | None = 4) -> tuple[float, float]:
+    """(SP, EO): |group 0 - group 1| for the binary 0/1 attribute, else the group variances."""
+    if set(rates) == {0, 1}:
+        return _gap_0_1(rates, _NO_MEMBERS), _gap_0_1(tprs, _NO_POSITIVES)
+    # more than two groups, or class ids that are not the binary 0/1
+    return _variances(rates, tprs, stacklevel)  # default 4: _variances' 3 plus this frame
 
 
 @dataclass
@@ -150,11 +158,7 @@ def check_scorable(y, sensitive_values):
     """Raise the ``UndefinedMetricError`` that ``build_report`` would raise,
     without its warnings: each such error depends on the labels and groups
     alone, not on the predictions, so a run can be rejected before training."""
-    rates, tprs = _group_rates(y, y, sensitive_values)
-    if set(rates) == {0, 1}:
-        _gap_0_1(tprs, _NO_POSITIVES)
-    else:
-        _variances(rates, tprs, warn=False)
+    _gaps(*_group_rates(y, y, sensitive_values), stacklevel=None)
 
 
 def build_report(
@@ -173,11 +177,7 @@ def build_report(
     groups switch to the variance metrics. Gaps are stored as percentages.
     """
     rates, tprs = _group_rates(yhat, y, sensitive_values)
-    if set(rates) == {0, 1}:
-        d_sp, d_eo = _gap_0_1(rates, _NO_MEMBERS), _gap_0_1(tprs, _NO_POSITIVES)
-    else:
-        # more than two groups, or class ids that are not the binary 0/1
-        d_sp, d_eo = _variances(rates, tprs)
+    d_sp, d_eo = _gaps(rates, tprs)
     return FairnessReport(
         dataset=dataset,
         missing_rate=missing_rate,

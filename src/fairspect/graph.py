@@ -445,6 +445,15 @@ def load_attributes(csv_text: str, expected_n: int | None = None):
     return AttributeMatrix(features=features, sensitive_index=sensitive_index), sensitive, labels
 
 
+def _masked(sensitive: SensitiveColumn, missing_ids) -> SensitiveColumn:
+    """An all-present column's copy with ``missing_ids(n)`` masked, called after the check."""
+    if not sensitive.present.all():
+        raise ValueError("input mask must be all-present")
+    present = np.ones(sensitive.n, dtype=bool)
+    present[missing_ids(sensitive.n)] = False
+    return SensitiveColumn(values=sensitive.values.copy(), present=present)
+
+
 def apply_missing_mask(sensitive: SensitiveColumn, rate: float, seed: int) -> SensitiveColumn:
     """Mask exactly floor(rate * n) uniformly chosen nodes (seeded).
 
@@ -452,16 +461,8 @@ def apply_missing_mask(sensitive: SensitiveColumn, rate: float, seed: int) -> Se
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("missing rate must be in [0, 1)")
-    if not sensitive.present.all():
-        raise ValueError("input mask must be all-present")
-    n = sensitive.n
-    count = int(rate * n)
-    present = np.ones(n, dtype=bool)
-    if count:
-        rng = np.random.default_rng(seed)
-        masked = rng.choice(n, size=count, replace=False)
-        present[masked] = False
-    return SensitiveColumn(values=sensitive.values.copy(), present=present)
+    return _masked(sensitive, lambda n: np.random.default_rng(seed).choice(
+        n, size=int(rate * n), replace=False))
 
 
 def _mask_line_error(lineno: int, raw: str, line: str, n: int) -> str | None:
@@ -473,11 +474,8 @@ def _mask_line_error(lineno: int, raw: str, line: str, n: int) -> str | None:
     return None
 
 
-def parse_mask_file(text: str, sensitive: SensitiveColumn) -> SensitiveColumn:
-    """Apply a mask file (one node id per line = missing) to an all-present column."""
-    if not sensitive.present.all():
-        raise ValueError("input mask must be all-present")
-    n = sensitive.n
+def _mask_file_ids(text: str, n: int) -> np.ndarray:
+    """The node ids of a mask file, each checked to lie in [0, n)."""
     text, body, _ = _split_comments(text)
     try:
         ids = _int_rows(body, 1)[:, 0]
@@ -486,9 +484,12 @@ def parse_mask_file(text: str, sensitive: SensitiveColumn) -> SensitiveColumn:
     except ValueError as exc:
         raise _first_bad_line(text, lambda lineno, raw, line: _mask_line_error(lineno, raw, line, n),
                               f"unparseable mask file: {exc}") from None
-    present = np.ones(n, dtype=bool)
-    present[ids] = False
-    return SensitiveColumn(values=sensitive.values.copy(), present=present)
+    return ids
+
+
+def parse_mask_file(text: str, sensitive: SensitiveColumn) -> SensitiveColumn:
+    """Apply a mask file (one node id per line = missing) to an all-present column."""
+    return _masked(sensitive, lambda n: _mask_file_ids(text, n))
 
 
 def mask_file_text(sensitive: SensitiveColumn) -> str:

@@ -169,13 +169,12 @@ def limit_check(
     if tied:
         # opposite-sign dominant pair: the series has no single limit;
         # report the even/odd subsequence tails instead.
-        even_hops = [c for k, c in zip(hops, cosines) if k % 2 == 0]
-        odd_hops = [c for k, c in zip(hops, cosines) if k % 2 == 1]
+        odd_hops, even_hops = cosines[0::2], cosines[1::2]  # hops count from 1
         return AlignmentSeries(
             variant=variant, hops=hops, cosines=cosines,
             limit=float("nan"), residuals=np.full(k_max, np.nan), oscillating=True,
-            even_tail=float(even_hops[-1]) if even_hops else None,
-            odd_tail=float(odd_hops[-1]) if odd_hops else None,
+            even_tail=float(even_hops[-1]) if len(even_hops) else None,
+            odd_tail=float(odd_hops[-1]),  # k_max >= 1
         )
 
     principal = trunc.principal()
@@ -218,29 +217,22 @@ def estimate_decay_rate(series: AlignmentSeries,
     predicted = float(trunc.eigenvalues[1] / trunc.eigenvalues[0])
     res = series.residuals
     usable = np.isfinite(res) & (res > RESIDUAL_NOISE_FLOOR)
-    best_start = best_len = 0
-    start = length = 0
-    for i, ok in enumerate(usable):
-        if ok:
-            if length == 0:
-                start = i
-            length += 1
-            if length > best_len:
-                best_start, best_len = start, length
-        else:
-            length = 0
-    if best_len < 5:
+    # the runs of usable residuals start where the mask rises and stop where it falls
+    steps = np.diff(usable.astype(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(steps == 1), np.flatnonzero(steps == -1)
+    lengths = stops - starts
+    if not np.any(lengths >= 5):
         raise NotEstimableError("fewer than five consecutive residuals above the noise floor")
+    longest = int(np.argmax(lengths))  # the first of equally long runs
     above = res[usable]
     if above.max() / above.min() < 10.0 ** DECAY_MIN_DECADES:
         raise NotEstimableError(
             f"residuals above the noise floor span fewer than {DECAY_MIN_DECADES} decades")
-    evens = [i for i in range(len(res))
-             if series.hops[i] % 2 == 0 and usable[i]]
+    evens = np.flatnonzero((np.asarray(series.hops) % 2 == 0) & usable)
     if len(evens) >= 6:
         evens = evens[len(evens) // 2:]
     if len(evens) < 2:
-        evens = [best_start, best_start + best_len - 1]
+        evens = [starts[longest], stops[longest] - 1]
     first, last = evens[0], evens[-1]
     span = float(series.hops[last] - series.hops[first])
     empirical = float((res[last] / res[first]) ** (1.0 / span))

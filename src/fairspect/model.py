@@ -117,6 +117,9 @@ class TrainConfig:
             raise ValueError("heads must divide d_m")
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError("missing_rate must be in [0, 1)")
+        # the upper bound depends on n, so make_split checks it
+        if self.train_size is not None and self.train_size < 1:
+            raise ValueError("train_size must be >= 1")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -387,13 +390,11 @@ def loss_on(data: PreparedData, params: dict[str, Tensor], config: TrainConfig,
     return loss(data.take(indices), params, config)
 
 
-def gradients(params: dict[str, Tensor], data: PreparedData, config: TrainConfig,
-              indices: np.ndarray | None = None) -> dict[str, np.ndarray]:
+def gradients(params: dict[str, Tensor], data: PreparedData,
+              config: TrainConfig) -> dict[str, np.ndarray]:
     """Reverse-mode gradients of the mean train cross entropy, by tensor name."""
-    if indices is None:
-        indices = data.split.train
     ad.zero_grads(params.values())
-    loss_on(data, params, config, indices).backward()
+    loss_on(data, params, config, data.split.train).backward()
     return {name: t.grad for name, t in params.items()}
 
 

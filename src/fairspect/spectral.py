@@ -68,12 +68,8 @@ def _magnitudes_tied(a: float, b: float) -> bool:
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    out = vectors.copy()
-    for c in range(out.shape[1]):
-        lead = int(np.argmax(np.abs(out[:, c])))
-        if out[lead, c] < 0:
-            out[:, c] = -out[:, c]
-    return out
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * np.where(lead < 0, -1.0, 1.0)  # a product by +-1 is exact
 
 
 def _magnitude_order(values: np.ndarray, vectors: np.ndarray) -> list[int]:
@@ -98,6 +94,7 @@ def _magnitude_order(values: np.ndarray, vectors: np.ndarray) -> list[int]:
 def _ordered_truncation(values: np.ndarray, vectors: np.ndarray) -> SpectralTruncation:
     vectors = _canonical_signs(vectors)
     order = _magnitude_order(values, vectors)
+    # .copy() is C-ordered whatever the solver gave; products round by layout
     return SpectralTruncation(
         eigenvalues=values[order].copy(),
         eigenvectors=vectors[:, order].copy(),

@@ -25,6 +25,8 @@ from fairspect.graph import (AttributeTableError, EdgeListFormatError, load_attr
 from fairspect.model import TrainingDivergedError
 from fairspect.spectral import ConvergenceError
 
+from conftest import array_digest
+
 K3_EDGES = "# n=3\n0 1\n0 2\n1 2\n"
 K3_ATTRS = "id,f0,sensitive,label\n0,0.5,1,0\n1,0.1,0,1\n2,0.9,1,1\n"
 
@@ -864,9 +866,22 @@ class TestConfigAndExitCodes:
                      "--out_edges", str(edges), "--out_attributes", str(attrs)]) == 0
         return edges, attrs
 
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The argument tuples of every ``top_m_eigenpairs`` call a run makes."""
+        calls = []
+        solve = fairspect.model.top_m_eigenpairs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fairspect.model, "top_m_eigenpairs", counted)
+        return calls
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_unscorable_split_is_rejected_before_training(self, tmp_path, capsys,
-                                                          monkeypatch, command):
+                                                          monkeypatch, solves, command):
         # three groups, of which only group 1 has positives
         edges, attrs = self.gen_groups(tmp_path, 3)
 
@@ -874,14 +889,6 @@ class TestConfigAndExitCodes:
             raise AssertionError("trained a run whose report is undefined")
 
         monkeypatch.setattr(fairspect.cli, "train", unreachable)
-        solves = []
-        solve = fairspect.model.top_m_eigenpairs
-
-        def counted(*args, **kwargs):
-            solves.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(fairspect.model, "top_m_eigenpairs", counted)
         grid = ["--seeds", "0,1", "--missing_rates", "0.1"] if command == "sweep" else []
         code = main([command, "--edges", str(edges), "--attributes", str(attrs), *grid,
                      "--out_dir", str(tmp_path / "run")])
@@ -897,9 +904,11 @@ class TestConfigAndExitCodes:
         (["--weight_decay", "nan"], "weight decay must be finite and nonnegative"),
         (["--weight_decay", "inf"], "weight decay must be finite and nonnegative"),
         (["--epochs", "0"], "epochs must be >= 1"),
+        (["--train_size", "0"], "train_size must be >= 1"),
+        (["--train_size", "-1"], "train_size must be >= 1"),
     ])
-    def test_bad_config_flag_is_rejected_before_any_file_is_read(self, tmp_path, capsys,
-                                                                  command, flags, complaint):
+    def test_bad_config_flag_is_rejected_before_any_file_is_read(
+            self, tmp_path, capsys, solves, command, flags, complaint):
         # the input files do not exist, so reading them would be the error
         code = main([command, "--edges", str(tmp_path / "none.edges"),
                      "--attributes", str(tmp_path / "none.csv"), *flags,
@@ -907,6 +916,7 @@ class TestConfigAndExitCodes:
         assert code == 1
         assert f"error: {complaint}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+        assert solves == []
 
     @pytest.mark.parametrize("command, key, value, complaint", [
         *((command, key, value, f"{name} must be finite and nonnegative")
@@ -915,9 +925,16 @@ class TestConfigAndExitCodes:
           for value in (float("nan"), float("inf"))),
         ("sweep", "missing_rates", [0.1, 1.5], "missing_rate must be in [0, 1)"),
         ("sweep", "missing_rates", [float("nan")], "missing_rate must be in [0, 1)"),
+        *((command, "train_size", value, "train_size must be >= 1")
+          for command in ("train", "sweep") for value in (0, -1)),
+        # an empty grid is no request for the default one
+        ("sweep", "missing_rates", [], "config key 'missing_rates' must be a non-empty list "
+                                       "of numbers, a comma-separated string or null, got []"),
+        ("sweep", "seeds", [], "config key 'seeds' must be a non-empty list "
+                               "of integers, a comma-separated string or null, got []"),
     ])
     def test_bad_config_file_value_is_rejected_before_any_file_is_read(
-            self, tmp_path, capsys, command, key, value, complaint):
+            self, tmp_path, capsys, solves, command, key, value, complaint):
         config = tmp_path / "config.json"
         # Python's json writes and reads NaN and Infinity
         config.write_text(json.dumps({"edges": str(tmp_path / "none.edges"),
@@ -926,6 +943,7 @@ class TestConfigAndExitCodes:
         assert main([command, "--config", str(config)]) == 1
         assert f"error: {complaint}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+        assert solves == []
 
     def test_groups_without_positives_warn_once(self, tmp_path):
         # four groups: 1 and 3 have positives, so the run is scored
@@ -959,6 +977,63 @@ class TestConfigAndExitCodes:
 
 
 class TestDeterminism:
+    # sha256 of each checkpoint array of the masked run below
+    MASKED_CHECKPOINT = {
+        "attn_q_0":
+            "a7f95129dcce2a7e00670ef48e3026f7badb511c607c2d4a7ef29663092ec77f",
+        "attn_k_0":
+            "753270b6dce51ef96d21ddbaed5ab8aa5330b990b939984e4e99f4ca30326c70",
+        "attn_v_0":
+            "be1727e548f02f83d3e7903e3b3341e4919e61a908c524388d13f6a9e0d95436",
+        "ln_attn_scale":
+            "b5fb86efd1e1a358ad6110130c133fec363786dc2151133040360c47d84011a2",
+        "ln_attn_shift":
+            "75762044f6095543dd18f90c1834937e657a4ed0511731627cc78a6d8638926f",
+        "ln_ffn_scale":
+            "6c00b2ea9fbb6aa9c6dd3024acb1fe09dd7a2ece906e4908aadec048980068a0",
+        "ln_ffn_shift":
+            "4b4b1e07ce5e475ced998160beeb2348c81619c733381e62948c2a86eca29741",
+        "ffn_w1":
+            "a2953e4b8ae1f82d9e869d2ef8c39b4907dcd62d7095e1bf08ae2a9532c14046",
+        "ffn_b1":
+            "7e91f06161ada1c4eee524290d8976f6f31068f21378b179332ade927026862a",
+        "ffn_w2":
+            "08faf74bf275d570903cff47a9f573bd01c4c611a93faf117f3b4f2eb10c027b",
+        "ffn_b2":
+            "2ab065a92e04d2d91a163a41fcab589d565fef4e7f27b3da12242aa7f0fa4466",
+        "gate_w_0":
+            "11770998c46fc2dd7cf862c7ed8c7ad1ee8550917287940009d099a830d55b4f",
+        "gate_b_0":
+            "2174bd0cbb4c0a0958eafca72973053b045672900fcfa3cea6efecbb9f2de62d",
+        "fuse_w_0":
+            "4f6850688fcd93ee86f47eb68bf009d1da88fb5f21c9b67a908586cd0330b002",
+        "cls_w":
+            "5131d2b38d60886ee9f299c549ee80d09c8c90d129907db9883144a68b63ecb5",
+        "cls_b":
+            "4ca5342c88736c297bf9d057de3013ed3c9e3a2d02844ec6b90a008837f84564",
+    }
+
+    def test_masked_train_checkpoint_digests(self, tmp_path):
+        """A masked ``train`` whose eigensolve takes the ARPACK route (n = 48,
+        m = 8, so n >= m + 2) keeps every bit of every checkpoint array.
+
+        The products that consume the eigenvectors round by their memory
+        layout, so an F-ordered solver output changes these bits. Like the
+        verify digests, they depend on the BLAS: a platform with another BLAS
+        may need to record them again.
+        """
+        edges, attrs = gen_dataset(tmp_path)
+        mask = tmp_path / "mask.ids"
+        assert main(["mask", "--attributes", str(attrs), "--rate", "0.3", "--seed", "4",
+                     "--out", str(mask)]) == 0
+        out = tmp_path / "run"
+        assert main(["train", "--edges", str(edges), "--attributes", str(attrs),
+                     "--mask", str(mask), "--epochs", "20", "--out_dir", str(out)]) == 0
+        with np.load(out / "checkpoint.npz") as checkpoint:
+            digests = {key.removeprefix("param__"): array_digest(checkpoint[key])
+                       for key in checkpoint.files if key.startswith("param__")}
+        assert digests == self.MASKED_CHECKPOINT
+
     def test_reports_byte_identical_modulo_runtime(self, tmp_path):
         edges, attrs = gen_dataset(tmp_path)
         args = ["train", "--edges", str(edges), "--attributes", str(attrs),

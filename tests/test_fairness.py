@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import tracemalloc
 import warnings
@@ -282,6 +283,29 @@ class TestReportBytes:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestNoPositivesWarningLocation:
+    """The warning names the line that called the public function, however
+    many private frames the scoring passes through."""
+
+    def test_build_report(self):
+        yhat, y, s = seeded_predictions(seed=5, n=300, group_ids=[0, 1, 2, 3],
+                                        without_positives=[2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            build_report(yhat, y, s, "d", 0.0, 0, {}, 0.0)
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
+    def test_multiclass_variance_metrics(self):
+        yhat, y, s = seeded_predictions(seed=5, n=300, group_ids=[0, 1, 2, 3],
+                                        without_positives=[2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = inspect.currentframe().f_lineno + 1
+            multiclass_variance_metrics(yhat, y, s, idx(300))
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
 
 def undefined_error(score):

@@ -222,6 +222,20 @@ class TestMissingMask:
         with pytest.raises(ValueError, match="all-present"):
             apply_missing_mask(sens, 0.1, seed=0)
 
+    def test_rate_error_comes_before_the_presence_check(self):
+        partial = sensitive_column([0, 1, 1], present=[True, False, True])
+        with pytest.raises(ValueError, match=r"missing rate must be in \[0, 1\)"):
+            apply_missing_mask(partial, 1.5, seed=0)
+        # a rate of 0 masks nobody, but the input must still be all-present
+        with pytest.raises(ValueError, match="all-present"):
+            apply_missing_mask(partial, 0.0, seed=0)
+
+    def test_mask_file_presence_check_comes_before_the_parse(self):
+        partial = sensitive_column([0, 1, 1], present=[True, False, True])
+        for text in ("0\n", "x\n", "7\n"):
+            with pytest.raises(ValueError, match="all-present"):
+                parse_mask_file(text, partial)
+
     def test_mask_file_errors_name_the_line(self):
         sens = sensitive_column(np.arange(4) % 2)
         with pytest.raises(EdgeListFormatError, match="mask line 3: non-integer id"):

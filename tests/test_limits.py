@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fairspect.limits import (
     AlignmentSeries,
     DegenerateAlignmentError,
+    RESIDUAL_NOISE_FLOOR,
     NotEstimableError,
     RepeatedDominantError,
     build_alignment_battery,
@@ -12,7 +15,7 @@ from fairspect.limits import (
     limit_check,
     multiplicity_bound_check,
 )
-from fairspect.spectral import dense_eigendecomposition, spectral_gap
+from fairspect.spectral import SpectralTruncation, dense_eigendecomposition, spectral_gap
 from fairspect.synthetic import SyntheticSpec, gen_synthetic
 
 from conftest import array_digest, sensitive_column
@@ -127,6 +130,84 @@ class TestDecayRate:
         series = limit_check("thm1", k3, oracle.principal(), k_max=20, trunc=oracle)
         with pytest.raises(NotEstimableError):
             estimate_decay_rate(series, oracle)
+
+
+def reference_decay_rate(series, trunc):
+    """``estimate_decay_rate`` as a loop over the residuals, one at a time."""
+    predicted = float(trunc.eigenvalues[1] / trunc.eigenvalues[0])
+    res = series.residuals
+    usable = np.isfinite(res) & (res > RESIDUAL_NOISE_FLOOR)
+    best_start = best_len = 0
+    start = length = 0
+    for i, ok in enumerate(usable):
+        if ok:
+            if length == 0:
+                start = i
+            length += 1
+            if length > best_len:
+                best_start, best_len = start, length
+        else:
+            length = 0
+    if best_len < 5:
+        raise NotEstimableError("fewer than five consecutive residuals above the noise floor")
+    above = res[usable]
+    if above.max() / above.min() < 1e4:
+        raise NotEstimableError("residuals above the noise floor span fewer than 4 decades")
+    evens = [i for i in range(len(res)) if series.hops[i] % 2 == 0 and usable[i]]
+    if len(evens) >= 6:
+        evens = evens[len(evens) // 2:]
+    if len(evens) < 2:
+        evens = [best_start, best_start + best_len - 1]
+    first, last = evens[0], evens[-1]
+    span = float(series.hops[last] - series.hops[first])
+    return float((res[last] / res[first]) ** (1.0 / span)), predicted
+
+
+# residuals above the noise floor, spanning up to 12 decades, and below it
+ABOVE_FLOOR = st.sampled_from([1.0, 0.3, 1e-2, 1e-5, 1e-9, 1e-11])
+BELOW_FLOOR = st.sampled_from([0.0, 1e-13, np.nan, np.inf])
+
+
+@st.composite
+def residual_series(draw):
+    """Residuals made of runs above and below the floor, at increasing hops;
+    hops two apart from an odd start leave no even hop, so the window falls
+    back to the longest run."""
+    residuals = []
+    for usable, length in draw(st.lists(st.tuples(st.booleans(), st.integers(1, 8)),
+                                        max_size=8)):
+        residuals += draw(st.lists(ABOVE_FLOOR if usable else BELOW_FLOOR,
+                                   min_size=length, max_size=length))
+    first = draw(st.integers(0, 3))
+    strides = draw(st.sampled_from([[1], [2], [1, 2]]))
+    steps = draw(st.lists(st.sampled_from(strides), min_size=len(residuals),
+                          max_size=len(residuals)))
+    return np.array(residuals, dtype=np.float64), first + np.cumsum(steps, dtype=np.int64)
+
+
+def decay_outcome(estimate, residuals, hops):
+    """``estimate``'s (empirical, predicted) pair, or its NotEstimableError message."""
+    series = AlignmentSeries(variant="thm1", hops=hops, cosines=np.zeros(len(hops)),
+                             limit=0.0, residuals=residuals)
+    trunc = SpectralTruncation(eigenvalues=np.array([2.0, -1.0]), eigenvectors=np.eye(3, 2))
+    try:
+        return estimate(series, trunc)
+    except NotEstimableError as exc:
+        return str(exc)
+
+
+class TestDecayRateMatchesLoop:
+    @given(residual_series())
+    # two runs of six at odd hops only: the first run gives the window
+    @example((np.array([1.0, 1e-2, 1e-5, 1e-5, 1e-5, 1e-9, 0.0,
+                        1.0, 1.0, 1e-11, 1e-11, 1e-11, 1.0]), np.arange(1, 27, 2)))
+    # no usable run at all
+    @example((np.array([0.0, np.nan, 1e-13, np.inf]), np.arange(1, 5)))
+    @example((np.array([]), np.array([], dtype=np.int64)))
+    def test_matches_reference_loop(self, drawn):
+        residuals, hops = drawn
+        expected = decay_outcome(reference_decay_rate, residuals, hops)
+        assert decay_outcome(estimate_decay_rate, residuals, hops) == expected
 
 
 class TestMultiplicityBound:

@@ -182,6 +182,18 @@ class TestOracleEquivalence:
             assert np.allclose(trunc.eigenvectors[:, i],
                                oracle.eigenvectors[:, i], atol=1e-6)
 
+    def test_eigenvectors_are_c_ordered_on_every_route(self):
+        """The products that consume the eigenvectors round by their memory
+        layout, so every route returns C-ordered ones, whatever its solver gave."""
+        g = random_graph(40, 0.2, seed=3)
+        routes = [top_m_eigenpairs(g, 5),  # ARPACK
+                  top_m_eigenpairs(g, 39),  # dense, for m >= n - 1
+                  top_m_eigenpairs(from_edges(4, []), 2),  # no edges
+                  dense_eigendecomposition(g)]
+        for trunc in routes:
+            assert trunc.eigenvectors.flags.c_contiguous
+            assert trunc.eigenvalues.flags.c_contiguous
+
     def test_determinism(self):
         g = random_graph(70, 0.2, seed=8)
         a = top_m_eigenpairs(g, 5)
