@@ -308,20 +308,28 @@ def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
 
 
 def _sweep_cell(inputs: tuple, trunc, cpus: int, config: TrainConfig):
-    """One grid cell's report; its parameters stay in the process that trained them.
+    """One grid cell's report, or the exception the cell failed with; its
+    parameters stay in the process that trained them.
 
     Entering ``catch_warnings`` resets Python's once-per-location warning
     registry, so every cell prints its own warnings, such as a group without
     positives, even after an earlier cell in this process printed the same.
     """
-    with warnings.catch_warnings():
-        report, _params = _run_single_training(*inputs, config, trunc, cpus)
+    try:
+        with warnings.catch_warnings():
+            report, _params = _run_single_training(*inputs, config, trunc, cpus)
+    except Exception as exc:
+        import traceback
+
+        # the traceback keeps its lines but no longer holds the cell's inputs and model
+        traceback.clear_frames(exc.__traceback__)
+        return exc
     return report
 
 
 # Set only inside pool workers, by the pool initializer. The cell function and
 # the data it closes over reach the workers through fork, so only a cell's
-# config goes out and its report comes back.
+# config goes out and its outcome comes back.
 _worker_cell = None
 
 
@@ -360,42 +368,9 @@ def sweep_worker_count(cells: int) -> int:
     return max(1, min(cells, cpu_budget()))
 
 
-def _pooled_reports(pool, configs: list, workers: int):
-    """The reports of ``configs`` from ``pool``, in grid order.
-
-    At most ``workers`` cells are submitted at a time, so none waits in the
-    pool's queue, and none is submitted once a cell has failed: after a
-    failure only the cells already running are waited for. Submitting happens
-    here, on the thread that reads the reports.
-    """
-    from concurrent.futures import FIRST_COMPLETED, wait
-
-    futures: list = []
-    running: set = set()
-    failed = False
-    for index in range(len(configs)):
-        while True:
-            finished = {future for future in running if future.done()}
-            running -= finished
-            failed = failed or any(future.exception() is not None for future in finished)
-            while not failed and len(running) < workers and len(futures) < len(configs):
-                futures.append(pool.submit(_run_adopted_cell, configs[len(futures)]))
-                running.add(futures[-1])
-            if futures[index].done():
-                break
-            wait(running, return_when=FIRST_COMPLETED)
-        yield futures[index].result()
-
-
 @contextlib.contextmanager
-def _cell_reports(run_cell, configs: list, workers: int):
-    """Yield the reports of ``run_cell`` over ``configs``, from ``workers`` processes.
-
-    Reports come in grid order either way. The first cell to fail, in grid
-    order, raises its own exception where its report is read. In the pool, no
-    cell starts after a cell has failed, and the block's exit waits for the
-    cells still running.
-    """
+def _cell_outcomes(run_cell, configs: list, workers: int):
+    """Yield ``run_cell``'s outcomes over ``configs`` in grid order, from ``workers`` processes."""
     if workers == 1:
         yield map(run_cell, configs)
         return
@@ -409,7 +384,7 @@ def _cell_reports(run_cell, configs: list, workers: int):
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                initializer=_adopt_cell, initargs=(run_cell,))
     try:
-        yield _pooled_reports(pool, configs, workers)
+        yield pool.map(_run_adopted_cell, configs)
     except BrokenProcessPool as exc:
         raise WorkerDiedError(f"a sweep worker process died: {exc}") from None
     finally:
@@ -493,8 +468,13 @@ def cmd_sweep(args) -> int:
         _sweep_cell, (graph, attrs, sensitive, labels, dataset, merged), trunc,
         cpu_budget() // workers)
     by_rate: dict[float, list] = {rate: [] for rate in rates}
-    with _cell_reports(run_cell, configs, workers) as reports:
-        for (rate, seed), report in zip(grid, reports):
+    failures = []
+    with _cell_outcomes(run_cell, configs, workers) as outcomes:
+        for (rate, seed), report in zip(grid, outcomes):
+            if isinstance(report, Exception):
+                failures.append(report)
+                print(f"rate={rate:g} seed={seed} failed: {report}")
+                continue
             name = f"report_r{rate:g}_s{seed}.json"
             _atomic_write_text(out_dir / name, _json_text(report.to_json_dict()))
             by_rate[rate].append(report)
@@ -509,10 +489,13 @@ def cmd_sweep(args) -> int:
         row = [f"{rate:g}", len(by_rate[rate])]
         for field in ("accuracy", "delta_sp", "delta_eo"):
             values = np.array([getattr(report, field) for report in by_rate[rate]])
-            row += [f"{values.mean():.6f}", f"{values.std():.6f}"]
+            row += [f"{values.mean():.6f}", f"{values.std():.6f}"] if values.size else ["", ""]
         writer.writerow(row)
     _atomic_write_text(out_dir / "aggregate.csv", buffer.getvalue())
     print(f"wrote {out_dir / 'aggregate.csv'} ({len(rates)} rates x {len(seeds)} seeds)")
+    if failures:
+        # the first failure in grid order decides the error and the exit code
+        raise failures[0]
     return EXIT_OK
 
 

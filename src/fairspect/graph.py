@@ -525,8 +525,10 @@ def make_split(n: int, train_size: int | None, seed: int) -> Split:
     remainder = n - 2 * quarter
     if train_size is None:
         train_size = remainder
-    if not 0 <= train_size <= remainder:
-        raise ValueError(f"train_size must be in [0, {remainder}] for n={n}")
+    if train_size < 0:
+        raise ValueError("train_size must be >= 0")
+    if train_size > remainder:
+        raise ValueError(f"train_size must be at most {remainder} for n={n}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     val = np.sort(perm[:quarter])

@@ -7,6 +7,7 @@ import os
 import pickle
 import re
 import signal
+import traceback
 import warnings
 from collections import Counter
 
@@ -70,6 +71,19 @@ def poisoned_prepare(on_start):
         return prepare(graph, attrs, *rest, **kwargs)
 
     return poisoned
+
+
+def raise_for(predicate, message):
+    """An ``on_start`` for ``poisoned_prepare`` that raises a ValueError of
+    ``message`` in the cells whose config meets ``predicate``."""
+    def on_start(config):
+        if predicate(config):
+            raise ValueError(message)
+    return on_start
+
+
+# a sweep cell that trains in a few milliseconds on ``gen_dataset``'s graph
+SMALL_RUN = ["--epochs", "10", "--m", "3", "--hidden", "8", "--d_m", "4"]
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
@@ -251,16 +265,14 @@ class TestSweep:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_second_cell_diverging_in_pool_exits_2_like_train(self, tmp_path, capsys,
-                                                              monkeypatch):
-        use_cpus(monkeypatch, 2, blas_threads="1")
+    def test_second_cell_diverging_exits_2_like_train(self, tmp_path, capsys, monkeypatch,
+                                                      sweep_workers):
         edges, attrs = gen_dataset(tmp_path)
         cells_ran_in = tmp_path / "pids"
         cells_ran_in.mkdir()
         monkeypatch.setattr(fairspect.cli, "prepare_inputs",
                             poisoned_prepare(lambda config: (cells_ran_in / str(os.getpid())).touch()))
-        common = ["--edges", str(edges), "--attributes", str(attrs), "--epochs", "10",
-                  "--m", "3", "--hidden", "8", "--d_m", "4"]
+        common = ["--edges", str(edges), "--attributes", str(attrs), *SMALL_RUN]
         out = tmp_path / "sweep"
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["sweep", *common, "--out_dir", str(out),
@@ -272,27 +284,125 @@ class TestSweep:
         assert code == 2
         assert sweep_err == train_err
         assert sweep_err.startswith("numerical failure: training diverged at epoch 0")
-        assert sorted(p.name for p in out.iterdir()) == ["report_r0.1_s0.json"]
-        assert {int(p.name) for p in cells_ran_in.iterdir()} - {os.getpid()}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "aggregate.csv", "report_r0.1_s0.json", "report_r0.3_s0.json"]
+        ran_in_workers = {int(p.name) for p in cells_ran_in.iterdir()} - {os.getpid()}
+        assert bool(ran_in_workers) == (sweep_workers == 2)
 
-    def test_failing_cell_cancels_later_cells_in_pool(self, tmp_path, capsys, monkeypatch):
-        use_cpus(monkeypatch, 2, blas_threads="1")
+    def test_every_cell_runs_after_a_failure(self, tmp_path, capsys, monkeypatch,
+                                             sweep_workers):
         edges, attrs = gen_dataset(tmp_path)
         started = tmp_path / "started"
         started.mkdir()
         monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned_prepare(
             lambda config: (started / f"{config.missing_rate:g}_{config.seed}").touch()))
+        common = ["--edges", str(edges), "--attributes", str(attrs), *SMALL_RUN]
+        rates = ("0.1", "0.3", "0.5")
+        out = tmp_path / "sweep"
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
-                         "--epochs", "200", "--m", "3", "--hidden", "8", "--d_m", "4",
-                         "--out_dir", str(tmp_path / "sweep"),
-                         "--missing_rates", "0.1,0.3,0.5", "--seeds", "1,0"])
+            code = main(["sweep", *common, "--out_dir", str(out),
+                         "--missing_rates", ",".join(rates), "--seeds", "1,0"])
         assert code == 2
-        assert capsys.readouterr().err.startswith(
-            "numerical failure: training diverged at epoch 0")
-        # the first cell fails at epoch 0 while the second trains for 200
-        # epochs; no cell may start after the failure is seen
-        assert {p.name for p in started.iterdir()} == {"0.1_1", "0.1_0"}
+        # the first cell fails at epoch 0; every later cell still trains
+        assert {p.name for p in started.iterdir()} == {f"{r}_{s}" for r in rates for s in (0, 1)}
+        assert sorted(p.name for p in out.glob("report_r*.json")) == [
+            f"report_r{rate}_s0.json" for rate in rates]
+        for rate in rates:
+            single = tmp_path / f"train_{rate}"
+            assert main(["train", *common, "--out_dir", str(single),
+                         "--missing_rate", rate, "--seed", "0"]) == 0
+            assert (without_runtime(out / f"report_r{rate}_s0.json")
+                    == without_runtime(single / "report.json"))
+
+    @pytest.mark.parametrize("seeds, code, err", [
+        ("0,2,1", 1, "error: seed 2 is poisoned"),
+        ("0,1,2", 2, "numerical failure: training diverged at epoch 0"),
+    ])
+    def test_first_failure_in_grid_order_decides_the_exit_code(
+            self, tmp_path, capsys, monkeypatch, sweep_workers, seeds, code, err):
+        edges, attrs = gen_dataset(tmp_path)
+        monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned_prepare(
+            raise_for(lambda config: config.seed == 2, "seed 2 is poisoned")))
+        out = tmp_path / "sweep"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
+                         *SMALL_RUN, "--out_dir", str(out), "--missing_rates", "0.1",
+                         "--seeds", seeds]) == code
+        assert capsys.readouterr().err.startswith(err)
+        assert sorted(p.name for p in out.iterdir()) == ["aggregate.csv", "report_r0.1_s0.json"]
+        with open(out / "aggregate.csv") as handle:
+            assert [row["runs"] for row in csv.DictReader(handle)] == ["1"]
+
+    def test_rate_whose_cells_all_fail_has_an_empty_row(self, tmp_path, capsys, monkeypatch,
+                                                        sweep_workers):
+        edges, attrs = gen_dataset(tmp_path)
+        monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned_prepare(
+            raise_for(lambda config: config.missing_rate == 0.3, "rate 0.3")))
+        out = tmp_path / "sweep"
+        # the empty row's mean would warn "Mean of empty slice", which fails the suite
+        assert main(["sweep", "--edges", str(edges), "--attributes", str(attrs), *SMALL_RUN,
+                     "--out_dir", str(out), "--missing_rates", "0.1,0.3,0.5",
+                     "--seeds", "0,2"]) == 1
+        assert capsys.readouterr().err == "error: rate 0.3\n"
+        with open(out / "aggregate.csv") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[:2] for row in rows[1:]] == [["0.1", "2"], ["0.3", "0"], ["0.5", "2"]]
+        assert rows[2] == ["0.3", "0", "", "", "", "", "", ""]
+        assert all(cell != "" for row in (rows[1], rows[3]) for cell in row)
+
+    def test_stdout_is_the_same_in_one_process_and_in_the_pool(self, tmp_path, capsys,
+                                                               monkeypatch):
+        edges, attrs = gen_dataset(tmp_path)
+        monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned_prepare(
+            raise_for(lambda config: config.seed == 2, "seed 2 is poisoned")))
+        capsys.readouterr()  # gen's line
+        stdout = []
+        for blas_threads, workers in ((None, 1), ("1", 2)):
+            use_cpus(monkeypatch, 2, blas_threads)
+            assert sweep_worker_count(6) == workers
+            out = tmp_path / f"sweep{workers}"
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["sweep", "--edges", str(edges), "--attributes", str(attrs),
+                             *SMALL_RUN, "--out_dir", str(out), "--missing_rates", "0.1,0.3",
+                             "--seeds", "0,1,2"]) == 2
+            stdout.append(capsys.readouterr().out.replace(str(out), "OUT"))
+        assert stdout[0] == stdout[1]
+        *cells, last = stdout[0].splitlines()
+        # one line per cell in grid order, a failed cell's in its place
+        assert [line.split(" acc=")[0] for line in cells[::3]] == [
+            "rate=0.1 seed=0", "rate=0.3 seed=0"]
+        assert cells[1::3] == [
+            f"rate={rate} seed=1 failed: training diverged at epoch 0 (non-finite loss)"
+            for rate in ("0.1", "0.3")]
+        assert cells[2::3] == [f"rate={rate} seed=2 failed: seed 2 is poisoned"
+                               for rate in ("0.1", "0.3")]
+        assert last == "wrote OUT/aggregate.csv (2 rates x 3 seeds)"
+
+    def test_failed_cell_holds_no_frame_locals(self, tmp_path, monkeypatch):
+        # in one process a failed cell's exception lives until the sweep ends;
+        # its frames must not keep the cell's inputs and model alive meanwhile
+        use_cpus(monkeypatch, 2)
+        edges, attrs = gen_dataset(tmp_path)
+        monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned_prepare(
+            raise_for(lambda config: config.seed == 2, "seed 2 is poisoned")))
+        outcomes = []
+        cell = fairspect.cli._sweep_cell
+
+        def recorded(*args):
+            outcomes.append(cell(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(fairspect.cli, "_sweep_cell", recorded)
+        assert main(["sweep", "--edges", str(edges), "--attributes", str(attrs), *SMALL_RUN,
+                     "--out_dir", str(tmp_path / "sweep"), "--missing_rates", "0.1",
+                     "--seeds", "2,0"]) == 1
+        failure = outcomes[0]
+        frames = [frame for frame, _ in traceback.walk_tb(failure.__traceback__)]
+        names = [frame.f_code.co_name for frame in frames]
+        below = frames[names.index("_sweep_cell") + 1:]
+        assert [frame.f_code.co_name for frame in below] == [
+            "_run_single_training", "poisoned", "on_start"]
+        assert all(frame.f_locals == {} for frame in below)
 
     def test_dead_worker_is_usage_error(self, tmp_path, capsys, monkeypatch):
         use_cpus(monkeypatch, 2, blas_threads="1")
@@ -944,6 +1054,16 @@ class TestConfigAndExitCodes:
         assert f"error: {complaint}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         assert solves == []
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_train_size_above_the_remainder_names_the_bound(self, tmp_path, capsys, command):
+        # the bound depends on n, so it is checked once the graph is read;
+        # the message offers no value below the 1 that the config requires
+        edges, attrs = write_k3(tmp_path)
+        code = main([command, "--edges", str(edges), "--attributes", str(attrs),
+                     "--train_size", "5", "--out_dir", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: train_size must be at most 3 for n=3\n"
 
     def test_groups_without_positives_warn_once(self, tmp_path):
         # four groups: 1 and 3 have positives, so the run is scored

@@ -300,8 +300,16 @@ class TestMakeSplit:
         assert np.array_equal(a.test, b.test)
 
     def test_train_size_too_large(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^train_size must be at most 4 for n=8$"):
             make_split(8, 5, seed=0)
+
+    def test_negative_train_size(self):
+        with pytest.raises(ValueError, match=r"^train_size must be >= 0$"):
+            make_split(8, -1, seed=0)
+
+    def test_empty_train_split_is_valid(self):
+        split = make_split(8, 0, seed=0)
+        assert len(split.train) == 0 and len(split.val) == len(split.test) == 2
 
     def test_default_train_size_uses_remainder(self):
         split = make_split(10, None, seed=0)
