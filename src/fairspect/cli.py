@@ -339,7 +339,15 @@ def _adopt_cell(run_cell):
 
 
 def _run_adopted_cell(config: TrainConfig):
-    return _worker_cell(config)
+    outcome = _worker_cell(config)
+    if isinstance(outcome, Exception):
+        import traceback
+
+        # pickling drops __traceback__; a note, which str() leaves out, carries
+        # the worker's frames into the traceback the parent prints
+        outcome.add_note("Traceback in the sweep worker (most recent call last):\n"
+                         + "".join(traceback.format_tb(outcome.__traceback__)).rstrip())
+    return outcome
 
 
 def cpu_budget() -> int:

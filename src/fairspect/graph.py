@@ -82,22 +82,30 @@ def _split_comments(text: str):
     return text, "".join(pieces), comments
 
 
-def _int_rows(body: str, width: int) -> np.ndarray:
-    """Parse whitespace-separated integer lines into a (rows, width) int64 array.
+def _int_lines(text: str, width: int, bound: int, line_error, name: str):
+    """Parse line-oriented input of ``width`` integers per line in [0, ``bound``).
 
-    Blank lines are skipped. Raises ValueError when a line is not exactly
-    ``width`` ASCII integers that fit in int64.
+    Returns (text, rows, comments), ``text`` and ``comments`` as from
+    ``_split_comments`` and ``rows`` a (lines, width) int64 array; blank lines
+    are skipped. On a bad line, raises ``_first_bad_line``'s error for
+    ``line_error``, with "unparseable <name>: <reason>" as its fallback.
     """
+    text, body, comments = _split_comments(text)
     if not body or body.isspace():
-        return np.empty((0, width), dtype=np.int64)
-    # numpy decodes and parses the UTF-8 bytes line by line, as it would a
-    # StringIO, without the StringIO's copy at 4 bytes per character. A lone
-    # surrogate fails to encode with a ValueError, like any parse error.
-    rows = np.loadtxt(io.BytesIO(body.encode("utf-8")), dtype=np.int64, comments=None,
-                      ndmin=2, encoding="utf-8")
-    if rows.shape[1] != width:
-        raise ValueError(f"expected {width} integers per line, got {rows.shape[1]}")
-    return rows
+        return text, np.empty((0, width), dtype=np.int64), comments
+    try:
+        # numpy decodes and parses the UTF-8 bytes line by line, as it would a
+        # StringIO, without the StringIO's copy at 4 bytes per character. A lone
+        # surrogate fails to encode with a ValueError, like any parse error.
+        rows = np.loadtxt(io.BytesIO(body.encode("utf-8")), dtype=np.int64, comments=None,
+                          ndmin=2, encoding="utf-8")
+        if rows.shape[1] != width:
+            raise ValueError(f"expected {width} integers per line, got {rows.shape[1]}")
+        if len(rows) and (rows.min() < 0 or rows.max() >= bound):
+            raise ValueError("node id out of range")
+    except ValueError as exc:
+        raise _first_bad_line(text, line_error, f"unparseable {name}: {exc}") from None
+    return text, rows, comments
 
 
 def _first_bad_line(text: str, line_error, fallback: str) -> EdgeListFormatError:
@@ -230,18 +238,12 @@ def load_edge_list(text: str) -> Graph:
     collapsed and self-loops dropped. Node ids are nonnegative ASCII integers
     below ``MAX_NODES``; n = 1 + max id seen unless the header says otherwise.
     """
-    text, body, comments = _split_comments(text)
+    text, pairs, comments = _int_lines(text, 2, MAX_NODES, _edge_line_error, "edge list")
     header = None
     for hit in comments:
         match = _N_HEADER.match(hit.group())
         if match:
             header = (hit, match.group(1))
-    try:
-        pairs = _int_rows(body, 2)
-        if len(pairs) and (pairs.min() < 0 or pairs.max() >= MAX_NODES):
-            raise ValueError("node id out of range")
-    except ValueError as exc:
-        raise _first_bad_line(text, _edge_line_error, f"unparseable edge list: {exc}") from None
     if header is None and not len(pairs):
         raise EdgeListFormatError("empty edge list")
     max_id = int(pairs.max()) if len(pairs) else -1
@@ -412,7 +414,7 @@ def load_attributes(csv_text: str, expected_n: int | None = None):
     try:
         if any(ch in body for ch in _CELL_SEPARATOR_CHARS):
             raise ValueError("control characters U+001C..U+001F in a data row")
-        # bytes, not a StringIO, for the reason given in _int_rows
+        # bytes, not a StringIO, for the reason given in _int_lines
         table = np.loadtxt(io.BytesIO(body.encode("utf-8")), dtype=dtype, delimiter=",",
                            quotechar='"', comments=None, ndmin=1, encoding="utf-8")
         table = table[np.argsort(table[f"c{id_col}"], kind="stable")]
@@ -476,15 +478,8 @@ def _mask_line_error(lineno: int, raw: str, line: str, n: int) -> str | None:
 
 def _mask_file_ids(text: str, n: int) -> np.ndarray:
     """The node ids of a mask file, each checked to lie in [0, n)."""
-    text, body, _ = _split_comments(text)
-    try:
-        ids = _int_rows(body, 1)[:, 0]
-        if np.any((ids < 0) | (ids >= n)):
-            raise ValueError("node id out of range")
-    except ValueError as exc:
-        raise _first_bad_line(text, lambda lineno, raw, line: _mask_line_error(lineno, raw, line, n),
-                              f"unparseable mask file: {exc}") from None
-    return ids
+    _, ids, _ = _int_lines(text, 1, n, lambda *line: _mask_line_error(*line, n), "mask file")
+    return ids[:, 0]
 
 
 def parse_mask_file(text: str, sensitive: SensitiveColumn) -> SensitiveColumn:

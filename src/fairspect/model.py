@@ -402,9 +402,8 @@ class Adam:
     """Adam with L2-style weight decay folded into the gradient.
 
     The values of all tensors live in one flat vector, and each tensor's
-    ``data`` becomes a view into it, so a step is a few in-place operations
-    over that vector and one scratch vector rather than a loop of them per
-    tensor. A tensor whose ``data`` is
+    ``data`` becomes a view into it, so a step is a few operations over that
+    vector rather than a loop of them per tensor. A tensor whose ``data`` is
     later rebound to another array is no longer updated.
     """
 
@@ -416,21 +415,14 @@ class Adam:
         self.weight_decay = weight_decay
         self.step_count = 0
         self.values = np.concatenate([t.data.ravel() for t in tensors.values()])
-        self.grad = np.empty_like(self.values)
-        self._grad_views = []
-        start = 0
-        for tensor in tensors.values():
-            stop = start + tensor.data.size
-            tensor.data = self.values[start:stop].reshape(tensor.data.shape)
-            self._grad_views.append(self.grad[start:stop].reshape(tensor.data.shape))
-            start = stop
+        bounds = np.cumsum([t.data.size for t in tensors.values()])[:-1]
+        for tensor, view in zip(tensors.values(), np.split(self.values, bounds)):
+            tensor.data = view.reshape(tensor.data.shape)
         self.first = np.zeros_like(self.values)
         self.second = np.zeros_like(self.values)
-        self._scratch = np.empty_like(self.values)
 
     def step(self):
-        """One update, in place in the flat vectors: the same operations, and
-        so the same bits, as
+        """One update; grad is every tensor's ``grad`` (zeros for None), flattened like values:
 
             grad = grad + weight_decay * values
             first = beta1 * first + (1 - beta1) * grad
@@ -440,47 +432,19 @@ class Adam:
         self.step_count += 1
         correction1 = 1.0 - self.beta1 ** self.step_count
         correction2 = 1.0 - self.beta2 ** self.step_count
-        for tensor, view in zip(self.tensors.values(), self._grad_views):
-            view[...] = 0.0 if tensor.grad is None else tensor.grad
-        grad, scratch = self.grad, self._scratch
+        grad = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.ravel()
+                               for t in self.tensors.values()])
         if self.weight_decay:
-            np.multiply(self.values, self.weight_decay, out=scratch)
-            grad += scratch
-        self.first *= self.beta1
-        self.first += np.multiply(grad, 1 - self.beta1, out=scratch)
-        self.second *= self.beta2
-        np.multiply(grad, 1 - self.beta2, out=scratch)
-        self.second += np.multiply(scratch, grad, out=scratch)
-        # grad is spent: it holds the step, scratch its denominator
-        np.divide(self.first, correction1, out=grad)
-        grad *= self.lr
-        np.divide(self.second, correction2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += self.eps
-        self.values -= np.divide(grad, scratch, out=grad)
-
-
-def argmax_predict(logits: np.ndarray) -> np.ndarray:
-    """Class per row, ``np.argmax(logits, axis=1)``: exact ties resolve to the
-    first maximum, and a NaN counts as the maximum.
-
-    The classes are compared column by column; a reduction along the short
-    class axis costs far more than one pass per column.
-    """
-    best = logits[:, 0]
-    classes = np.zeros(len(logits), dtype=np.int64)
-    for c in range(1, logits.shape[1]):
-        column = logits[:, c]
-        # a NaN column beats any number; nothing beats a NaN
-        better = ~(column <= best) & (best == best)
-        classes = np.where(better, c, classes)
-        best = np.where(better, column, best)
-    return classes
+            grad += self.weight_decay * self.values
+        self.first = self.beta1 * self.first + (1 - self.beta1) * grad
+        self.second = self.beta2 * self.second + (1 - self.beta2) * grad * grad
+        self.values -= self.lr * (self.first / correction1) / (
+            np.sqrt(self.second / correction2) + self.eps)
 
 
 def predict(params: dict[str, Tensor], data: PreparedData, config: TrainConfig,
             stage=None) -> np.ndarray:
-    return argmax_predict(forward(data, params, config, stage))
+    return np.argmax(forward(data, params, config, stage), axis=1)
 
 
 def train(data: PreparedData, config: TrainConfig,

