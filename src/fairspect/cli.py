@@ -9,6 +9,7 @@ defaults. Exit codes: 0 success, 1 usage error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import functools
@@ -262,7 +263,15 @@ def _train_config_from(merged: dict, **overrides) -> TrainConfig:
     return config
 
 
-def _load_dataset(merged: dict):
+# what every cell of a command shares: its inputs, with ``masked`` the mask
+# file's column (None masks at each cell's rate), and each seed's split
+_Run = collections.namedtuple("_Run", "graph attrs sensitive labels dataset masked splits")
+
+
+def _prepared(merged: dict, configs: list[TrainConfig]):
+    """The order ``train`` and ``sweep`` share before any cell trains, as
+    (run, out_dir, trunc). The configs differ only in rate and seed, so the
+    first one's ``train_size``, m and fusion switch serve every cell."""
     edges_path = merged.get("edges")
     attrs_path = merged.get("attributes")
     if not edges_path or not attrs_path:
@@ -270,44 +279,49 @@ def _load_dataset(merged: dict):
     graph = load_edge_list(Path(edges_path).read_text(encoding="utf-8"))
     attrs, sensitive, labels = load_attributes(
         Path(attrs_path).read_text(encoding="utf-8"), expected_n=graph.n)
+    masked = (parse_mask_file(Path(merged["mask"]).read_text(encoding="utf-8"), sensitive)
+              if merged.get("mask") else None)
+    # a split depends only on the seed and train_size, so each seed's test rows
+    # are checked once, before the solve
+    splits = {}
+    for seed in dict.fromkeys(config.seed for config in configs):
+        split = splits[seed] = make_split(graph.n, configs[0].train_size, seed)
+        check_scorable(labels[split.test], sensitive.values[split.test])
+    out_dir = Path(merged.get("out_dir") or ".")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # every cell shares the graph, m and the fusion switch, so one solve serves them all
+    trunc = structural_truncation(graph, configs[0])
     dataset = merged.get("dataset") or Path(attrs_path).stem
-    return graph, attrs, sensitive, labels, dataset
+    return _Run(graph, attrs, sensitive, labels, dataset, masked, splits), out_dir, trunc
 
 
-def _run_single_training(graph, attrs, sensitive, labels, dataset, merged: dict,
-                         config: TrainConfig, trunc=None, cpus: int = 1):
-    """Train once and return (report, params). Masking follows the config.
-
-    ``trunc`` is a precomputed structural truncation; None solves it here.
-    ``cpus`` is the run's share of ``cpu_budget()``, which ``train`` may use.
-    """
-    if merged.get("mask"):
-        run_sensitive = parse_mask_file(
-            Path(merged["mask"]).read_text(encoding="utf-8"), sensitive)
-        # no nominal rate when masking comes from a file; report the realised one
-        report_rate = float((~run_sensitive.present).mean())
-    else:
-        run_sensitive = apply_missing_mask(sensitive, config.missing_rate, config.seed)
-        report_rate = config.missing_rate
-    split = make_split(graph.n, config.train_size, config.seed)
-    # an unscorable test split fails here, not after training
-    check_scorable(labels[split.test], sensitive.values[split.test])
+def _run_single_training(run: _Run, trunc, cpus: int, config: TrainConfig):
+    """One cell of ``run``, trained on the truncation ``trunc``: (report, params).
+    ``cpus`` is the cell's share of ``cpu_budget()``, which ``train`` may use."""
     started = time.perf_counter()
-    data = prepare_inputs(graph, attrs, run_sensitive, labels, split, config, trunc=trunc)
+    if run.masked is None:
+        sensitive = apply_missing_mask(run.sensitive, config.missing_rate, config.seed)
+        report_rate = config.missing_rate
+    else:
+        sensitive = run.masked
+        # no nominal rate when masking comes from a file; report the realised one
+        report_rate = float((~sensitive.present).mean())
+    split = run.splits[config.seed]
+    data = prepare_inputs(run.graph, run.attrs, sensitive, run.labels, split, config, trunc)
     params, _history = train(data, config, cpus=cpus)
     test = split.test
     # the report scores the test nodes only, so only their rows are predicted
     yhat = predict(params, data.take(test), config)
     runtime = time.perf_counter() - started
     report = build_report(
-        yhat, labels[test], sensitive.values[test],
-        dataset=dataset, missing_rate=report_rate, seed=config.seed,
+        yhat, run.labels[test], run.sensitive.values[test],
+        dataset=run.dataset, missing_rate=report_rate, seed=config.seed,
         config=config.as_dict(), runtime_s=runtime,
     )
     return report, params
 
 
-def _sweep_cell(inputs: tuple, trunc, cpus: int, config: TrainConfig):
+def _sweep_cell(run: _Run, trunc, cpus: int, config: TrainConfig):
     """One grid cell's report, or the exception the cell failed with; its
     parameters stay in the process that trained them.
 
@@ -317,7 +331,7 @@ def _sweep_cell(inputs: tuple, trunc, cpus: int, config: TrainConfig):
     """
     try:
         with warnings.catch_warnings():
-            report, _params = _run_single_training(*inputs, config, trunc, cpus)
+            report, _params = _run_single_training(run, trunc, cpus, config)
     except Exception as exc:
         import traceback
 
@@ -432,11 +446,8 @@ def cmd_mask(args) -> int:
 def cmd_train(args) -> int:
     merged = _merged_config(args)
     config = _train_config_from(merged)
-    graph, attrs, sensitive, labels, dataset = _load_dataset(merged)
-    out_dir = Path(merged.get("out_dir") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report, params = _run_single_training(graph, attrs, sensitive, labels,
-                                          dataset, merged, config, cpus=cpu_budget())
+    run, out_dir, trunc = _prepared(merged, [config])
+    report, params = _run_single_training(run, trunc, cpu_budget(), config)
     report_path = out_dir / "report.json"
     _atomic_write_text(report_path, _json_text(report.to_json_dict()))
     ckpt_path = out_dir / "checkpoint.npz"
@@ -460,21 +471,9 @@ def cmd_sweep(args) -> int:
     # a report is named by the rate as printed under :g and the seed
     _reject_repeated_cells(args, "missing_rates", rates, lambda rate: f"{rate:g}")
     _reject_repeated_cells(args, "seeds", seeds, str)
-    graph, attrs, sensitive, labels, dataset = _load_dataset(merged)
-    # a split depends only on the seed and train_size, so every cell's test
-    # rows are checked here, before the solve
-    for seed in seeds:
-        test = make_split(graph.n, configs[0].train_size, seed).test
-        check_scorable(labels[test], sensitive.values[test])
-    out_dir = Path(merged.get("out_dir") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    # every cell shares the graph, m and the fusion switch, so one solve serves the grid
-    trunc = structural_truncation(graph, configs[0])
+    run, out_dir, trunc = _prepared(merged, configs)
     workers = sweep_worker_count(len(configs))
-    run_cell = functools.partial(
-        _sweep_cell, (graph, attrs, sensitive, labels, dataset, merged), trunc,
-        cpu_budget() // workers)
+    run_cell = functools.partial(_sweep_cell, run, trunc, cpu_budget() // workers)
     by_rate: dict[float, list] = {rate: [] for rate in rates}
     failures = []
     with _cell_outcomes(run_cell, configs, workers) as outcomes:

@@ -24,7 +24,7 @@ class AttributeTableError(ValueError):
     """Raised when an attribute CSV violates the expected schema."""
 
 
-_N_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+_N_HEADER = re.compile(r"#\s*n\s*=\s*([0-9]+)\s*$")
 
 # Largest node count whose packed pair keys u*n + v (u, v < n) fit in int64.
 MAX_NODES = math.isqrt(2**63)

@@ -8,6 +8,7 @@ other test. The tables are read from ``perfbench/tracing.py`` itself.
 import importlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,37 @@ def test_training_reaches_every_traced_global():
     encodings = [span for span in spans if span.name == "encoding.position_encoding"]
     assert len(encodings) == 1
     assert spans[encodings[0].parent].name == "model.prepare"
+
+
+@pytest.mark.parametrize("command, grid, seeds, cells", [
+    ("train", [], 1, 1),
+    ("sweep", ["--missing_rates", "0.1,0.3", "--seeds", "0,1"], 2, 4),
+])
+def test_commands_reach_every_traced_stage(tmp_path, monkeypatch, command, grid, seeds, cells):
+    """``train`` and ``sweep`` call each stage through the module global the
+    tracer wraps, so every stage shows as a span: the inputs and the solve once
+    per command, the split once per seed, and the cell's stages once per cell.
+    A stage called through a table built at import would hold the unwrapped
+    function, and its span would be missing here."""
+    from fairspect import cli
+
+    edges, attrs = tmp_path / "g.edges", tmp_path / "g.csv"
+    assert cli.main(["gen", "--kind", "sbm", "--n", "48", "--block_sizes", "24,24",
+                     "--p_in", "0.5", "--p_out", "0.08", "--label_flip", "0.3",
+                     "--out_edges", str(edges), "--out_attributes", str(attrs)]) == 0
+    monkeypatch.setattr(cli, "cpu_budget", lambda: 1)  # the cells run in this process
+    tracer = TRACING.Tracer("stages")
+    tracer.install()
+    try:
+        assert cli.main([command, "--edges", str(edges), "--attributes", str(attrs),
+                         "--epochs", "3", "--m", "3", "--hidden", "8", "--d_m", "4", *grid,
+                         "--out_dir", str(tmp_path / "run")]) == 0
+    finally:
+        tracer.uninstall()
+    expected = {
+        **dict.fromkeys(["graph.load_edge_list", "graph.load_attributes", "spectral.top_m"], 1),
+        "graph.split": seeds,
+        **dict.fromkeys(["graph.mask", "model.prepare", "model.train", "fairness.report"], cells),
+    }
+    counts = Counter(span.name for span in tracer.spans)
+    assert {name: counts[name] for name in expected} == expected

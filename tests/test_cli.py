@@ -225,6 +225,24 @@ class TestSweep:
                 assert (without_runtime(out / f"report_r{rate}_s{seed}.json")
                         == without_runtime(single / "report.json"))
 
+    def test_each_seed_is_split_and_checked_once(self, tmp_path, monkeypatch):
+        # a split depends only on the seed, so the cells of a seed share theirs
+        use_cpus(monkeypatch, 2)
+        edges, attrs = gen_dataset(tmp_path)
+        calls = Counter()
+        for name in ("make_split", "check_scorable"):
+            def spy(*args, name=name, original=getattr(fairspect.cli, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(fairspect.cli, name, spy)
+        common = ["--edges", str(edges), "--attributes", str(attrs), *SMALL_RUN]
+        assert main(["sweep", *common, "--out_dir", str(tmp_path / "sweep"),
+                     "--missing_rates", "0.1,0.3,0.5", "--seeds", "0,1"]) == 0
+        assert calls == {"make_split": 2, "check_scorable": 2}
+        calls.clear()
+        assert main(["train", *common, "--out_dir", str(tmp_path / "train")]) == 0
+        assert calls == {"make_split": 1, "check_scorable": 1}
+
     def test_sweep_rejects_fixed_mask_file(self, tmp_path):
         edges, attrs = gen_dataset(tmp_path)
         mask = tmp_path / "mask.ids"
@@ -1024,6 +1042,30 @@ class TestConfigAndExitCodes:
         assert code == 1
         assert "error: fewer than two groups have positive nodes" in capsys.readouterr().err
         assert solves == []  # rejected before the eigensolve
+
+    @pytest.mark.parametrize("command, broken, complaint", [
+        *((command, ("edges", "attributes"), "line 1: non-integer node id in '0 x'")
+          for command in ("train", "sweep")),
+        ("train", ("attributes", "mask"), "missing required column 'sensitive'"),
+        ("train", ("mask",), "mask line 1: id 400 out of range"),
+    ])
+    def test_first_bad_input_in_reading_order_is_the_error(self, tmp_path, capsys, solves,
+                                                           command, broken, complaint):
+        # the edge list, the attribute table, the mask file, then the split,
+        # which is unscorable here: three groups, of which only group 1 has positives
+        edges, attrs = self.gen_groups(tmp_path, 3)
+        mask = tmp_path / "g.mask"
+        mask.write_text("0\n")
+        paths = {"edges": edges, "attributes": attrs, "mask": mask}
+        bad = {"edges": "0 x\n", "attributes": "id,f0\n0,1.0\n", "mask": "400\n"}
+        for name in broken:
+            paths[name].write_text(bad[name])
+        masked = ["--mask", str(mask)] if command == "train" else []
+        assert main([command, "--edges", str(edges), "--attributes", str(attrs), *masked,
+                     "--out_dir", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+        assert not (tmp_path / "run").exists()
+        assert solves == []
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("flags, complaint", [

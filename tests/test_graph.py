@@ -50,6 +50,10 @@ class TestLoadEdgeList:
         assert g.n == 5
         assert g.edge_count == 1
 
+    def test_header_of_non_ascii_digits_is_a_comment(self):
+        # node ids are ASCII, and so is the header: like "# n=abc", it is a comment
+        assert load_edge_list("# n=\u0663\n0 1\n").n == 2
+
     def test_header_only_gives_edgeless_graph(self):
         g = load_edge_list("# n=3\n")
         assert g.n == 3
@@ -396,7 +400,7 @@ class TestLeanLayout:
 # Property tests. The reference below is the line-by-line edge-list parser
 # that the vectorised loader replaced, kept as the oracle.
 
-_REF_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*")
+_REF_HEADER = re.compile(r"#\s*n\s*=\s*([0-9]+)\s*")
 _REF_ID = re.compile(r"[+-]?[0-9]+")
 
 
