@@ -24,7 +24,8 @@ from .encoding import (
     propagate_k_hop,
     zero_pad,
 )
-from .model import TrainConfig, forward, gradients, predict, prepare_inputs, train
+from .model import (TrainConfig, forward, gradients, predict, prepare_inputs,
+                    structural_truncation, train)
 from .fairness import (
     FairnessReport,
     accuracy,

@@ -258,9 +258,7 @@ def _merged_config(args) -> dict:
 def _train_config_from(merged: dict, **overrides) -> TrainConfig:
     kwargs = {k: v for k, v in merged.items() if k in _TRAIN_FIELD_TYPES}
     kwargs.update(overrides)
-    config = TrainConfig(**kwargs)
-    config.validate()
-    return config
+    return TrainConfig(**kwargs)
 
 
 # what every cell of a command shares: its inputs, with ``masked`` the mask
@@ -598,7 +596,7 @@ def cmd_verify(args) -> int:
 
     if args.multiplicity_count > 0:
         # a degenerate graph's bound holds neither way: None
-        holds = [multiplicity_bound_check(graph, sensitive).holds
+        holds = [multiplicity_bound_check(graph, sensitive, k_max=args.k_max).holds
                  for _, graph, sensitive in build_multiplicity_battery(
                      args.multiplicity_count, seed=args.seed)]
         summary["multiplicity"] = _tally(holds, "checked", "degenerate")

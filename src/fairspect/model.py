@@ -1,9 +1,12 @@
 """Node classifier: transformer over eigenvalue tokens fused with zero-padded
 attributes through a learned spectral filter, trained with Adam.
 
-``prepare_inputs`` builds the network's constant inputs once per run: the
-table [H_padded | side] for every node, the sinusoidal tokens of the top-m
-eigenvalues and C = P^T H_padded. The network then runs in two stages:
+``prepare_inputs`` builds the network's constant inputs once per run from
+the eigenbasis it is given (``structural_truncation``): the table
+[H_padded | side] for every node, the sinusoidal tokens of the top-m
+eigenvalues and C = P^T H_padded. A ``TrainConfig`` checks its values when it
+is made, so no function here checks them again. The network then runs in two
+stages:
 
     row-independent, once per set of parameters (``layer_weights``):
         eigen-tokens -> pre-norm transformer block
@@ -78,8 +81,10 @@ class TrainingDivergedError(RuntimeError):
         return type(self), (self.epoch,)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings, checked when made; a made config cannot change."""
+
     m: int = 8
     k_hops: int = 2
     layers: int = 1
@@ -95,7 +100,7 @@ class TrainConfig:
     spectral_fusion: bool = True
     train_size: int | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         # a NaN fails every comparison, so each bound is stated as what passes
@@ -141,7 +146,6 @@ def init_params(config: TrainConfig, feature_width: int) -> dict[str, Tensor]:
     (``attn_q_0``, ``gate_w_1``, ``cls_b``, ...). Per-head and per-layer
     tensors carry their index as a suffix.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     p: dict[str, Tensor] = {}
     d_m = config.d_m
@@ -214,20 +218,15 @@ def prepare_inputs(
     labels: np.ndarray,
     split: Split,
     config: TrainConfig,
-    trunc: SpectralTruncation | None = None,
+    trunc: SpectralTruncation | None,
 ) -> PreparedData:
-    """Zero-pad attributes and precompute the structural encoding.
+    """Zero-pad attributes and build the network's constant inputs.
 
-    ``sensitive`` is expected to already carry whatever mask the run uses;
-    ground-truth values stay available for evaluation.
+    ``trunc`` is the eigenbasis the run trains on, as ``structural_truncation``
+    returns it: None exactly when spectral fusion is off. ``sensitive`` is
+    expected to already carry whatever mask the run uses; ground-truth values
+    stay available for evaluation.
     """
-    config.validate()
-    if sensitive.n != attrs.n:
-        raise ValueError("attribute matrix and sensitive column disagree on n")
-    if config.spectral_fusion and trunc is None:
-        # solved before the n x d padded copy exists, so the copy is not
-        # resident at the eigensolve's peak
-        trunc = structural_truncation(graph, config)
     padded = zero_pad(attrs, sensitive)
     if not config.sensitive_in_features:
         padded = np.delete(padded, attrs.sensitive_index, axis=1)
@@ -462,7 +461,6 @@ def train(data: PreparedData, config: TrainConfig,
     row blocks for the whole run, and is closed when training ends or
     raises. The results are bit-identical to one CPU.
     """
-    config.validate()
     params = init_params(config, data.width)
     optimizer = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
     history = {"train_loss": [], "val_acc": []}

@@ -33,6 +33,7 @@ from fairspect.model import (
     loss_on,
     predict,
     prepare_inputs,
+    structural_truncation,
     train,
 )
 from fairspect.spectral import (
@@ -164,7 +165,8 @@ def test_criterion_5_gradient_correctness():
     sens = apply_missing_mask(sens, 0.3, seed=5)
     config = TrainConfig(m=2, hidden=8, d_m=4, heads=2, layers=2, seed=7)
     split = make_split(6, None, 0)
-    data = prepare_inputs(graph, attrs, sens, labels, split, config)
+    data = prepare_inputs(graph, attrs, sens, labels, split, config,
+                          structural_truncation(graph, config))
     params = init_params(config, data.width)
     grads = gradients(params, data, config)
     h = 1e-5
@@ -273,7 +275,8 @@ def _benchmark_run(seed, spectral_fusion, missing_rate=0.1):
                          epochs=300, seed=seed, missing_rate=missing_rate,
                          spectral_fusion=spectral_fusion)
     split = make_split(graph.n, None, seed)
-    data = prepare_inputs(graph, attrs, masked, labels, split, config)
+    data = prepare_inputs(graph, attrs, masked, labels, split, config,
+                          structural_truncation(graph, config))
     params, _ = train(data, config)
     yhat = predict(params, data, config)
     return (accuracy(yhat, labels, split.test),

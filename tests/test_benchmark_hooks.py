@@ -69,7 +69,8 @@ def test_training_reaches_every_traced_global():
     tracer = TRACING.Tracer("hooks")
     tracer.install()
     try:
-        data = cli.prepare_inputs(graph, attrs, sens, labels, make_split(30, None, 0), config)
+        data = cli.prepare_inputs(graph, attrs, sens, labels, make_split(30, None, 0), config,
+                                  cli.structural_truncation(graph, config))
         cli.train(data, config)
     finally:
         tracer.uninstall()

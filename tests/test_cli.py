@@ -179,6 +179,20 @@ class TestMask:
         assert code == 1
 
 
+def test_eigensolve_runs_before_the_padded_copy(tmp_path, monkeypatch):
+    # the n x d padded copy must not be resident at the solve's peak
+    edges, attrs = gen_dataset(tmp_path)
+    calls = []
+    for name in ("top_m_eigenpairs", "zero_pad"):
+        def recorded(*args, name=name, original=getattr(fairspect.model, name)):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(fairspect.model, name, recorded)
+    assert main(["train", "--edges", str(edges), "--attributes", str(attrs),
+                 "--out_dir", str(tmp_path / "run"), *SMALL_RUN]) == 0
+    assert calls == ["top_m_eigenpairs", "zero_pad"]
+
+
 class TestSweep:
     def test_grid_outputs(self, tmp_path, sweep_workers):
         assert sweep_worker_count(4) == sweep_workers
@@ -698,6 +712,20 @@ class TestVerify:
                 "a696b2e5dccc1ac285d81bd2e27c3a627a01c7965a471ccbe26e13550f4e461a",
             "stdout": "7019431ecf6d41c4936a8ef288580233a58ee9652e800950c984ec4772c8a7de",
         }
+
+    def test_k_max_reaches_the_multiplicity_check(self, tmp_path, monkeypatch):
+        hops = []
+        check = fairspect.cli.multiplicity_bound_check
+
+        def spy(graph, sensitive, **kwargs):
+            hops.append(kwargs.get("k_max"))
+            return check(graph, sensitive, **kwargs)
+
+        monkeypatch.setattr(fairspect.cli, "multiplicity_bound_check", spy)
+        edges, attrs = write_k3(tmp_path)
+        main(["verify", "--edges", str(edges), "--attributes", str(attrs), "--k_max", "7",
+              "--multiplicity_count", "2", "--out_dir", str(tmp_path / "verify")])
+        assert hops == [7, 7]
 
     def test_synthetic_battery_smoke(self, tmp_path):
         out = tmp_path / "verify"

@@ -23,6 +23,7 @@ from fairspect.model import (
     predict,
     prepare_inputs,
     save_checkpoint,
+    structural_truncation,
     train,
 )
 from fairspect.spectral import dense_eigendecomposition, top_m_eigenpairs
@@ -53,7 +54,8 @@ def desk_fixture(missing_rate=0.3, layers=2, hidden=8, d_m=4, heads=2,
     config = TrainConfig(m=2, hidden=hidden, d_m=d_m, heads=heads, layers=layers,
                          epochs=1, seed=seed, spectral_fusion=spectral_fusion)
     split = make_split(6, None, 0)
-    data = prepare_inputs(graph, attrs, sens, labels, split, config)
+    data = prepare_inputs(graph, attrs, sens, labels, split, config,
+                          structural_truncation(graph, config))
     return data, config
 
 
@@ -64,7 +66,8 @@ class TestPreparedData:
         graph, attrs, sens, labels = gen_synthetic(spec)
         sens = apply_missing_mask(sens, 0.3, seed=1)
         config = TrainConfig(m=3, d_m=4, heads=1, spectral_fusion=spectral_fusion)
-        data = prepare_inputs(graph, attrs, sens, labels, make_split(10, None, 0), config)
+        data = prepare_inputs(graph, attrs, sens, labels, make_split(10, None, 0), config,
+                              structural_truncation(graph, config))
         padded = zero_pad(attrs, sens)
         assert data.width == padded.shape[1]
         assert np.array_equal(data.inputs[:, :data.width], padded)
@@ -79,38 +82,14 @@ class TestPreparedData:
                                   propagate_k_hop(graph, padded, config.k_hops))
             assert data.tokens is None and data.coeffs is None
 
-    def test_eigensolve_runs_before_the_padded_copy(self, monkeypatch):
-        # the n x d padded copy must not be resident at the solve's peak
-        spec = SyntheticSpec(kind="erdos_renyi", n=10, params={"p": 0.5}, seed=2)
-        graph, attrs, sens, labels = gen_synthetic(spec)
-        calls = []
-
-        def recorded(name):
-            real = getattr(model, name)
-
-            def call(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-            return call
-
-        for name in ("structural_truncation", "zero_pad"):
-            monkeypatch.setattr(model, name, recorded(name))
-        prepare_inputs(graph, attrs, sens, labels, make_split(10, None, 0),
-                       TrainConfig(m=3, d_m=4, heads=1))
-        assert calls == ["structural_truncation", "zero_pad"]
-
-    def test_row_mismatch_fails_before_the_eigensolve(self, monkeypatch):
+    def test_row_mismatch_is_rejected(self):
         spec = SyntheticSpec(kind="erdos_renyi", n=10, params={"p": 0.5}, seed=2)
         graph, attrs, sens, labels = gen_synthetic(spec)
         short = SensitiveColumn(values=sens.values[:9], present=sens.present[:9])
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("solved before the row check")
-
-        monkeypatch.setattr(model, "structural_truncation", no_solve)
+        config = TrainConfig(m=3, d_m=4, heads=1)
         with pytest.raises(ValueError, match="disagree on n"):
-            prepare_inputs(graph, attrs, short, labels, make_split(10, None, 0),
-                           TrainConfig(m=3, d_m=4, heads=1))
+            prepare_inputs(graph, attrs, short, labels, make_split(10, None, 0), config,
+                           structural_truncation(graph, config))
 
     @pytest.mark.parametrize("field", [f.name for f in fields(PreparedData)])
     def test_fields_cannot_be_reassigned(self, field):
@@ -334,7 +313,8 @@ class TestFoldedFusion:
         graph, attrs, sens, labels = gen_synthetic(spec)
         sens = apply_missing_mask(sens, 0.3, seed=1)
         config = TrainConfig(m=5, hidden=12, d_m=4, heads=2, layers=layers, seed=2)
-        data = prepare_inputs(graph, attrs, sens, labels, make_split(40, None, 0), config)
+        data = prepare_inputs(graph, attrs, sens, labels, make_split(40, None, 0), config,
+                              structural_truncation(graph, config))
         params = init_params(config, data.width)
 
         ad.zero_grads(params.values())
@@ -628,7 +608,8 @@ def separable_toy(seed=0):
     config = TrainConfig(m=3, hidden=8, d_m=4, heads=1, layers=1, epochs=300,
                          seed=seed, train_size=4)
     split = make_split(8, 4, seed=0)
-    data = prepare_inputs(graph, attrs, sens, labels, split, config)
+    data = prepare_inputs(graph, attrs, sens, labels, split, config,
+                          structural_truncation(graph, config))
     return data, config
 
 
@@ -665,7 +646,7 @@ class TestTrain:
     def test_each_step_forwards_only_train_and_val_rows(self, monkeypatch):
         # the loss covers the train rows and the validation forward the val rows
         data, config = separable_toy()
-        config.epochs = 20
+        config = replace(config, epochs=20)
         rows = []
 
         def counting(original):
@@ -685,7 +666,7 @@ class TestTrain:
         # the stage runs once before the first step and once after each:
         # validation and the next step's loss share one weight computation
         data, config = separable_toy()
-        config.epochs = 12
+        config = replace(config, epochs=12)
         calls = []
         original = model.spectral_stage
         monkeypatch.setattr(model, "spectral_stage",
@@ -702,7 +683,7 @@ class TestTrain:
             data = replace(data, split=Split(
                 train=np.concatenate([data.split.train, data.split.val]),
                 val=np.empty(0, dtype=np.int64), test=data.split.test))
-        config.epochs = 80
+        config = replace(config, epochs=80)
         params, history = train(data, config)
         ref_params, ref_history = two_forward_train(data, config)
         assert history["train_loss"] == ref_history["train_loss"]
@@ -728,8 +709,7 @@ class TestTrain:
 
     def test_zero_learning_rate_keeps_initial_params(self):
         data, config = separable_toy(seed=5)
-        config.lr = 0.0
-        config.epochs = 10
+        config = replace(config, lr=0.0, epochs=10)
         params, history = train(data, config)
         fresh = init_params(config, data.width)
         for k, t in params.items():
@@ -741,7 +721,7 @@ class TestTrain:
         data, config = separable_toy()
         data = replace(data, split=Split(train=np.arange(8), val=np.empty(0, dtype=np.int64),
                                          test=np.empty(0, dtype=np.int64)))
-        config.epochs = 150
+        config = replace(config, epochs=150)
         params, history = train(data, config)
         yhat = predict(params, data, config)
         assert np.all(yhat == data.labels)
@@ -755,7 +735,8 @@ class TestTrain:
         attrs = type(attrs)(features=np.full_like(attrs.features, 1e308),
                             sensitive_index=attrs.sensitive_index)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow in matmul
-            data = prepare_inputs(graph, attrs, sens, labels, split, config)
+            data = prepare_inputs(graph, attrs, sens, labels, split, config,
+                                  structural_truncation(graph, config))
             with pytest.raises(TrainingDivergedError) as excinfo:
                 train(data, config)
         assert excinfo.value.epoch == 0
@@ -775,7 +756,8 @@ class TestTrain:
         sens = apply_missing_mask(sens, 0.3, seed=2)
         config = TrainConfig(m=3, hidden=8, d_m=4, heads=2, layers=layers, epochs=25,
                              seed=1, spectral_fusion=spectral_fusion)
-        data = prepare_inputs(graph, attrs, sens, labels, make_split(60, None, 1), config)
+        data = prepare_inputs(graph, attrs, sens, labels, make_split(60, None, 1), config,
+                              structural_truncation(graph, config))
         assert len(ad._row_blocks(len(data.split.train), config.hidden)) == 4
         started = record_helpers(monkeypatch)
         serial_params, serial_history = train(data, config, cpus=1)
@@ -791,7 +773,7 @@ class TestTrain:
 
     def test_one_block_of_train_rows_starts_no_helper(self, monkeypatch):
         data, config = separable_toy()
-        config.epochs = 5
+        config = replace(config, epochs=5)
         monkeypatch.setattr(ad, "LossHelper", None)  # any start would fail
         train(data, config, cpus=2)
 
@@ -896,7 +878,10 @@ class TestTrainConfigValidation:
         ("hidden", 0), ("d_m", 5), ("heads", 3), ("missing_rate", 1.0),
     ])
     def test_rejects_bad_values(self, field, value):
-        config = TrainConfig(d_m=16, heads=2)
-        setattr(config, field, value)
         with pytest.raises(ValueError):
-            config.validate()
+            TrainConfig(**{"d_m": 16, "heads": 2, field: value})
+
+    def test_made_config_cannot_change(self):
+        config = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.epochs = 0
